@@ -12,27 +12,15 @@ from gpcrsvm.baseline import nb_fit_dataset, nb_predict
 def svm_fitter(config):
     def fit(train_ds):
         model = svm.fit_dataset(train_ds, config)
-        return lambda x: svm.predict(model, x)
+        return lambda X: svm.predict(model, X)
     return fit
 
 
 def nb_fitter():
     def fit(train_ds):
         model = nb_fit_dataset(train_ds)
-        return lambda x: nb_predict(model, x)
+        return lambda X: nb_predict(model, X)
     return fit
-
-
-def holdout_report(dataset, train_count, fit, seed):
-    train_ds, test_ds = evaluation.holdout_split(dataset, train_count, seed)
-    predictor = fit(train_ds)
-    records = tuple(
-        evaluation.PredictionRecord(v.source_id, v.label, predictor(v.values))
-        for v in test_ds.vectors
-    )
-    return evaluation.evaluate_predictions(
-        records, baseline_prior=train_ds.positive_fraction()
-    )
 
 
 def main():
@@ -56,7 +44,7 @@ def main():
 
     print(f"== holdout split {args.train_count}/{len(dataset) - args.train_count} ==")
     for name, fit in fitters:
-        report = holdout_report(dataset, args.train_count, fit, args.seed)
+        report = evaluation.holdout(dataset, args.train_count, fit, args.seed)
         bm = (report.sensitivity, report.specificity, report.accuracy)
         print(f"{name:<18} sensitivity {bm[0]:.2f}  specificity {bm[1]:.2f}  "
               f"accuracy {bm[2]:.2f}")

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
-from .errors import DegenerateDataError, ModelFormatError, ModelMismatchError
-from .features import Dataset, Normalizer, apply_normalizer, fit_normalizer
-from .seqio import Label
+from .errors import DegenerateDataError, ModelFormatError
+from .features import Dataset, Normalizer, apply_normalizer, check_width, fit_normalizer
+from .seqio import Label, labels_from_scores
 
 NB_SCHEMA = "gpcr-nb/1"
 
@@ -61,16 +61,13 @@ def nb_train(
 
 
 def log_odds(model: NbModel, x: np.ndarray) -> float | np.ndarray:
-    """log P(pos | x) - log P(neg | x) up to the shared evidence term."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
+    """log P(pos | x) - log P(neg | x), up to the shared evidence term, of
+    raw feature rows: one float for a 1-D x, n scores for an (n, d) batch.
+    The whole batch is scaled with the stored normalizer in one call."""
+    x = check_width(x, model.dim)
     rows = np.atleast_2d(x)
-    if rows.shape[1] != model.dim:
-        raise ModelMismatchError(
-            f"input has {rows.shape[1]} features, model expects {model.dim}"
-        )
     if model.normalizer is not None:
-        rows = np.stack([apply_normalizer(model.normalizer, row) for row in rows])
+        rows = apply_normalizer(model.normalizer, rows)
 
     def class_log_likelihood(mean, var):
         return -0.5 * np.sum(
@@ -83,15 +80,13 @@ def log_odds(model: NbModel, x: np.ndarray) -> float | np.ndarray:
         + class_log_likelihood(model.mean_pos, model.var_pos)
         - class_log_likelihood(model.mean_neg, model.var_neg)
     )
-    return float(scores[0]) if single else scores
+    return float(scores[0]) if x.ndim == 1 else scores
 
 
 def nb_predict(model: NbModel, x: np.ndarray) -> Label | list[Label]:
-    """Argmax of the class posteriors; ties go to the positive class."""
-    scores = log_odds(model, x)
-    if np.isscalar(scores):
-        return Label.HUMAN if scores >= 0 else Label.OTHER
-    return [Label.HUMAN if s >= 0 else Label.OTHER for s in scores]
+    """Argmax of the class posteriors (log-odds >= 0 is human): one Label
+    for a 1-D x, a list for an (n, d) batch."""
+    return labels_from_scores(log_odds(model, x))
 
 
 def nb_fit_dataset(dataset: Dataset, normalize: str = "minmax") -> NbModel:
@@ -105,7 +100,7 @@ def nb_fit_dataset(dataset: Dataset, normalize: str = "minmax") -> NbModel:
     normalizer = None
     if normalize == "minmax":
         normalizer = fit_normalizer(dataset.vectors)
-        X = np.stack([apply_normalizer(normalizer, row) for row in X])
+        X = apply_normalizer(normalizer, X)
     return nb_train(
         X,
         dataset.signs(),
@@ -121,12 +116,7 @@ def save_nb_model(model: NbModel, sink) -> None:
         "priors": [model.prior_pos, model.prior_neg],
         "means": [model.mean_pos.tolist(), model.mean_neg.tolist()],
         "variances": [model.var_pos.tolist(), model.var_neg.tolist()],
-        "normalizer": None
-        if model.normalizer is None
-        else {
-            "min": model.normalizer.minimum.tolist(),
-            "max": model.normalizer.maximum.tolist(),
-        },
+        "normalizer": modelfile.normalizer_to_json(model.normalizer),
         "train_positive_prior": model.train_positive_prior,
     }
     modelfile.write_document(payload, sink)
@@ -143,20 +133,7 @@ def load_nb_model(source) -> NbModel:
     )
     if means.shape != variances.shape or means.shape[0] != 2:
         raise ModelFormatError("'means' and 'variances' must be 2 x d arrays")
-    raw_norm = modelfile.require(doc, "normalizer")
-    normalizer = None
-    if raw_norm is not None:
-        if not isinstance(raw_norm, dict):
-            raise ModelFormatError("field 'normalizer' must be an object or null")
-        minimum = modelfile.finite_vector(
-            modelfile.require(raw_norm, "min"), "normalizer.min"
-        )
-        maximum = modelfile.finite_vector(
-            modelfile.require(raw_norm, "max"), "normalizer.max"
-        )
-        if minimum.shape != maximum.shape or minimum.shape[0] != means.shape[1]:
-            raise ModelMismatchError("normalizer arrays do not match model dimension")
-        normalizer = Normalizer(minimum=minimum, maximum=maximum, fitted_on=0)
+    normalizer = modelfile.normalizer_from_json(doc, means.shape[1])
     prior = doc.get("train_positive_prior")
     if prior is not None:
         prior = modelfile.finite_scalar(prior, "train_positive_prior")

@@ -184,40 +184,29 @@ def _make_fitter(args) -> evaluation.Fitter:
     if args.baseline == "nb":
         def fit(train_ds):
             model = baseline.nb_fit_dataset(train_ds, normalize=args.normalize)
-            return lambda x: baseline.nb_predict(model, x)
+            return lambda X: baseline.nb_predict(model, X)
         return fit
     config = _svm_config(args)
 
     def fit(train_ds):
         model = svm.fit_dataset(train_ds, config, normalize=args.normalize)
-        return lambda x: svm.predict(model, x)
+        return lambda X: svm.predict(model, X)
     return fit
 
 
 def _load_any_model(path: Path):
-    """Dispatch on the schema field: returns (model, predict, score)."""
+    """Dispatch on the schema field: returns (model, score), where score
+    maps an (n, 24) matrix of raw feature rows to n scores (>= 0: human)."""
     text = _read_text(path)
     try:
         model = svm.load_model(io.StringIO(text))
-        return (
-            model,
-            lambda x: svm.predict(model, x),
-            lambda x: svm.decision_function(
-                model,
-                x if model.normalizer is None
-                else features.apply_normalizer(model.normalizer, x),
-            ),
-        )
+        return model, lambda X: svm.score(model, X)
     except ModelFormatError as svm_error:
         try:
             model = baseline.load_nb_model(io.StringIO(text))
         except ModelFormatError:
             raise svm_error from None
-        return (
-            model,
-            lambda x: baseline.nb_predict(model, x),
-            lambda x: baseline.log_odds(model, x),
-        )
+        return model, lambda X: baseline.log_odds(model, X)
 
 
 def _emit_report(report: evaluation.EvaluationReport, args) -> None:
@@ -284,27 +273,18 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
     if args.holdout is not None:
         dataset = _dataset_from_args(args)
-        train_ds, test_ds = evaluation.holdout_split(
-            dataset, args.holdout, args.seed
-        )
-        predictor = _make_fitter(args)(train_ds)
-        records = tuple(
-            evaluation.PredictionRecord(v.source_id, v.label, predictor(v.values))
-            for v in test_ds.vectors
-        )
-        report = evaluation.evaluate_predictions(
-            records, baseline_prior=train_ds.positive_fraction()
+        report = evaluation.holdout(
+            dataset, args.holdout, _make_fitter(args), args.seed
         )
         _emit_report(report, args)
         return EXIT_OK
     _require(args, "model")
-    model, predict, _score = _load_any_model(args.model)
+    model, score = _load_any_model(args.model)
     dataset = _dataset_from_args(args)
     if not dataset.vectors:
         return EXIT_EMPTY
-    records = tuple(
-        evaluation.PredictionRecord(v.source_id, v.label, predict(v.values))
-        for v in dataset.vectors
+    records = evaluation.predict_records(
+        lambda X: seqio.labels_from_scores(score(X)), dataset
     )
     report = evaluation.evaluate_predictions(
         records, baseline_prior=model.train_positive_prior
@@ -315,15 +295,17 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     _require(args, "model")
-    _, predict, score = _load_any_model(args.model)
+    _, score = _load_any_model(args.model)
     dataset = _dataset_from_args(args)
     if not dataset.vectors:
         return EXIT_EMPTY
-    lines = []
-    for vec in dataset.vectors:
-        label = predict(vec.values)
-        lines.append(f"{vec.source_id}\t{label.value}\t{score(vec.values):.6f}")
-    text = "\n".join(lines) + "\n"
+    scores = score(dataset.matrix())
+    text = "".join(
+        f"{vec.source_id}\t{label.value}\t{s:.6f}\n"
+        for vec, label, s in zip(
+            dataset.vectors, seqio.labels_from_scores(scores), scores
+        )
+    )
     print(text, end="")
     if args.out is not None:
         args.out.write_text(text)

@@ -9,7 +9,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,9 +22,10 @@ KAPPA_DEGENERATE = "KAPPA_DEGENERATE"
 SENSITIVITY_UNDEFINED = "SENSITIVITY_UNDEFINED"
 SPECIFICITY_UNDEFINED = "SPECIFICITY_UNDEFINED"
 
-# A fitted predictor maps raw feature rows to Labels; a fitter builds one
-# from a training dataset. Cross-validation is generic over this pair.
-Predictor = Callable[[np.ndarray], Label]
+# A fitted predictor maps an (n, 24) matrix of raw feature rows to n Labels
+# in one call; a fitter builds one from a training dataset. Holdout and
+# cross-validation are generic over this pair and score each test matrix once.
+Predictor = Callable[[np.ndarray], Sequence[Label]]
 Fitter = Callable[[Dataset], Predictor]
 
 
@@ -239,6 +240,17 @@ def evaluate_predictions(
     return report_from_matrix(matrix, baseline_prior, predictions=records)
 
 
+def predict_records(
+    predictor: Predictor, dataset: Dataset
+) -> tuple[PredictionRecord, ...]:
+    """Label every instance of the dataset with one predictor call."""
+    labels = predictor(dataset.matrix())
+    return tuple(
+        PredictionRecord(v.source_id, v.label, p)
+        for v, p in zip(dataset.vectors, labels, strict=True)
+    )
+
+
 def _apportion(total: int, sizes: list[int]) -> list[int]:
     """Largest-remainder shares of `total`, proportional to sizes."""
     grand = sum(sizes)
@@ -283,6 +295,18 @@ def holdout_split(
     return dataset.subset(sorted(train_idx)), dataset.subset(sorted(test_idx))
 
 
+def holdout(
+    dataset: Dataset, train_count: int, fit: Fitter, seed: int
+) -> EvaluationReport:
+    """Fit on a stratified split of train_count instances and report on the
+    rest; rae/rrse use the training part's prior."""
+    train_ds, test_ds = holdout_split(dataset, train_count, seed)
+    return evaluate_predictions(
+        predict_records(fit(train_ds), test_ds),
+        baseline_prior=train_ds.positive_fraction(),
+    )
+
+
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     """Deterministic stratified k-fold partition: per-class fold sizes
     differ by at most one; folds are disjoint and cover the dataset."""
@@ -321,8 +345,8 @@ class CvResult:
 def cross_validate(dataset: Dataset, k: int, fit: Fitter, seed: int) -> CvResult:
     """Stratified k-fold cross-validation. Each fold fits on the other
     k-1 folds (normalization included, via the fitter) and predicts the
-    held-out instances; per-instance predictions are pooled into a single
-    confusion matrix. The rae/rrse baseline uses each fold's own training
+    held-out fold in one call; per-instance predictions are pooled into a
+    single confusion matrix. The rae/rrse baseline uses each fold's own training
     prior."""
     folds = stratified_folds(dataset, k, seed)
     all_records: list[PredictionRecord] = []
@@ -333,13 +357,9 @@ def cross_validate(dataset: Dataset, k: int, fit: Fitter, seed: int) -> CvResult
         train_idx = [i for g, fold in enumerate(folds) if g != f for i in fold]
         train_ds = dataset.subset(sorted(train_idx))
         test_ds = dataset.subset(test_idx)
-        predictor = fit(train_ds)
+        records = predict_records(fit(train_ds), test_ds)
         prior = train_ds.positive_fraction()
         priors.append(prior)
-        records = tuple(
-            PredictionRecord(v.source_id, v.label, predictor(v.values))
-            for v in test_ds.vectors
-        )
         all_records.extend(records)
         fold_reports.append(evaluate_predictions(records, baseline_prior=prior))
         for rec in records:

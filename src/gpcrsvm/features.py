@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ModelMismatchError
 from .seqio import AMINO_ACIDS, Label, SequenceRecord
 from .topology import RegionLengths, TopologyMap, extract_region_lengths, validate_gpcr_topology
 
@@ -86,6 +87,16 @@ def apply_normalizer(normalizer: Normalizer, values: np.ndarray) -> np.ndarray:
         span > 0, (values - normalizer.minimum) / np.where(span > 0, span, 1.0), 0.0
     )
     return np.clip(scaled, 0.0, 1.0)
+
+
+def check_width(x: np.ndarray, dim: int) -> np.ndarray:
+    """x (one row or an (n, d) batch) as floats; ModelMismatchError unless
+    d equals the model's dim."""
+    x = np.asarray(x, dtype=float)
+    width = np.atleast_2d(x).shape[1]
+    if width != dim:
+        raise ModelMismatchError(f"input has {width} features, model expects {dim}")
+    return x
 
 
 def invert_normalizer(normalizer: Normalizer, scaled: np.ndarray) -> np.ndarray:
@@ -192,7 +203,8 @@ def write_feature_csv(vectors: list[FeatureVector], sink) -> None:
 
 
 def read_feature_csv(source) -> Dataset:
-    """Read a feature table written by write_feature_csv."""
+    """Read a feature table written by write_feature_csv. Every feature
+    cell must be a finite number."""
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     handle = open(source, "r", newline="") if own else source
     try:
@@ -213,6 +225,12 @@ def read_feature_csv(source) -> Dataset:
                     f"expected {N_FEATURES + 2}"
                 )
             values = np.array([float(x) for x in row[1 : N_FEATURES + 1]])
+            if not np.isfinite(values).all():
+                j = int(np.argmin(np.isfinite(values)))
+                raise ValueError(
+                    f"feature table row '{row[0]}' column '{FEATURE_NAMES[j]}': "
+                    f"{row[1 + j]!r} is not a finite number"
+                )
             vectors.append(
                 FeatureVector(values=values, label=Label(row[-1]), source_id=row[0])
             )

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, ModelMismatchError
+from .features import Normalizer
 
 
 def _reject_constant(token: str):
@@ -17,11 +18,13 @@ def _reject_constant(token: str):
 
 
 def write_document(payload: dict, sink) -> None:
+    """Write the payload as JSON. The text is made before the sink is opened,
+    so a payload with a non-finite number raises ValueError and writes nothing."""
+    text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
     handle = open(sink, "w") if own else sink
     try:
-        json.dump(payload, handle, indent=1, allow_nan=False)
-        handle.write("\n")
+        handle.write(text)
     finally:
         if own:
             handle.close()
@@ -79,3 +82,23 @@ def finite_matrix(value, path: str) -> np.ndarray:
     if len(width) != 1:
         raise ModelFormatError(f"field '{path}' rows have inconsistent lengths")
     return np.stack(rows)
+
+
+def normalizer_to_json(normalizer: Normalizer | None) -> dict | None:
+    if normalizer is None:
+        return None
+    return {"min": normalizer.minimum.tolist(), "max": normalizer.maximum.tolist()}
+
+
+def normalizer_from_json(doc: dict, dim: int) -> Normalizer | None:
+    """The model's 'normalizer' field: null, or min/max arrays of length dim."""
+    raw = require(doc, "normalizer")
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ModelFormatError("field 'normalizer' must be an object or null")
+    minimum = finite_vector(require(raw, "min"), "normalizer.min")
+    maximum = finite_vector(require(raw, "max"), "normalizer.max")
+    if minimum.shape != maximum.shape or minimum.shape[0] != dim:
+        raise ModelMismatchError("normalizer arrays do not match model dimension")
+    return Normalizer(minimum=minimum, maximum=maximum, fitted_on=0)

@@ -27,6 +27,14 @@ class Label(enum.Enum):
         return 1 if self is Label.HUMAN else 0
 
 
+def labels_from_scores(scores):
+    """Every classifier's decision rule: a score >= 0 (ties included) is
+    HUMAN. One float gives one Label; a sequence of scores gives a list."""
+    if isinstance(scores, float):
+        return labels_from_scores([scores])[0]
+    return [Label.HUMAN if s >= 0 else Label.OTHER for s in scores]
+
+
 class FastaParseError(ValueError):
     """Malformed FASTA input; message names the offending line."""
 

@@ -13,6 +13,10 @@ found on a scan (non-bound multipliers first, full scans as fallback), the
 second maximizes the error difference |E1 - E2| with ties broken by lowest
 index, falling back to the bias-free extreme pair and then an index-order
 sweep if the preferred choice cannot move.
+
+Scoring takes whole matrices: `score` scales a batch of raw rows in one call,
+`decision_function` scores it in blocks of SCORE_BLOCK (256) rows so the
+kernel block stays within 256 x n_SV floats, and `predict` labels the scores.
 """
 
 from dataclasses import dataclass, field
@@ -21,15 +25,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import modelfile
-from .errors import DegenerateDataError, ModelFormatError, ModelMismatchError
-from .features import Dataset, Normalizer, apply_normalizer, fit_normalizer
-from .seqio import Label
+from .errors import DegenerateDataError, ModelMismatchError
+from .features import Dataset, Normalizer, apply_normalizer, check_width, fit_normalizer
+from .seqio import Label, labels_from_scores
 
 SVM_SCHEMA = "gpcr-svm/1"
 
 # Precompute the full Gram matrix up to this many points; above it, fall
 # back to an LRU row cache.
 FULL_GRAM_LIMIT = 2000
+
+SCORE_BLOCK = 256  # kernel rows per block when scoring or on the row-cache path
 
 _ETA_EPS = 1e-12  # below this, treat the pair curvature as zero
 _STEP_EPS = 1e-12  # relative alpha movement that counts as progress
@@ -61,6 +67,17 @@ def rbf_gram(X: np.ndarray, Y: np.ndarray | None, gamma: float) -> np.ndarray:
     )
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
+
+
+def _blocked_expansion(
+    X: np.ndarray, Y: np.ndarray, gamma: float, coeffs: np.ndarray
+) -> np.ndarray:
+    """rbf_gram(X, Y, gamma) @ coeffs, built SCORE_BLOCK rows of X at a time."""
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], SCORE_BLOCK):
+        block = X[start : start + SCORE_BLOCK]
+        out[start : start + len(block)] = rbf_gram(block, Y, gamma) @ coeffs
+    return out
 
 
 @dataclass(frozen=True)
@@ -136,11 +153,7 @@ class _KernelCache:
     def decision_without_bias(self, beta: np.ndarray) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix @ beta
-        out = np.empty(self.n)
-        for start in range(0, self.n, 256):
-            stop = min(start + 256, self.n)
-            out[start:stop] = rbf_gram(self.X[start:stop], self.X, self.gamma) @ beta
-        return out
+        return _blocked_expansion(self.X, self.X, self.gamma, beta)
 
 
 def kkt_violations(
@@ -432,35 +445,32 @@ def train(
 
 
 def decision_function(model: SvmModel, x: np.ndarray) -> float | np.ndarray:
-    """f(x) = sum_i dual_coeffs_i * K(sv_i, x) + bias, for normalized x
-    (single vector or a batch of rows)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
-    if rows.shape[1] != model.dim:
-        raise ModelMismatchError(
-            f"input has {rows.shape[1]} features, model expects {model.dim}"
-        )
-    k = rbf_gram(rows, model.support_vectors, model.config.gamma)
-    values = k @ model.dual_coeffs + model.bias
-    return float(values[0]) if single else values
+    """f(x) = sum_i dual_coeffs_i * K(sv_i, x) + bias for normalized x.
+
+    A 1-D x gives one float; an (n, d) batch gives n scores, computed
+    SCORE_BLOCK rows at a time so the kernel block stays bounded."""
+    x = check_width(x, model.dim)
+    values = _blocked_expansion(
+        np.atleast_2d(x), model.support_vectors, model.config.gamma,
+        model.dual_coeffs,
+    )
+    values += model.bias
+    return float(values[0]) if x.ndim == 1 else values
+
+
+def score(model: SvmModel, x: np.ndarray) -> float | np.ndarray:
+    """Decision values of raw feature rows: the whole batch is scaled with
+    the model's stored normalizer in one call, then scored."""
+    x = check_width(x, model.dim)
+    if model.normalizer is not None:
+        x = apply_normalizer(model.normalizer, x)
+    return decision_function(model, x)
 
 
 def predict(model: SvmModel, x: np.ndarray) -> Label | list[Label]:
-    """Classify raw feature vectors; the model's stored normalizer is
-    applied first. Ties (f = 0) go to the positive class."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
-    if rows.shape[1] != model.dim:
-        raise ModelMismatchError(
-            f"input has {rows.shape[1]} features, model expects {model.dim}"
-        )
-    if model.normalizer is not None:
-        rows = np.stack([apply_normalizer(model.normalizer, row) for row in rows])
-    values = decision_function(model, rows)
-    labels = [Label.HUMAN if v >= 0 else Label.OTHER for v in values]
-    return labels[0] if single else labels
+    """Labels of raw feature rows: one Label for a 1-D x, a list for an
+    (n, d) batch. Ties (f = 0) go to the positive class."""
+    return labels_from_scores(score(model, x))
 
 
 def fit_dataset(
@@ -479,7 +489,7 @@ def fit_dataset(
     normalizer = None
     if normalize == "minmax":
         normalizer = fit_normalizer(dataset.vectors)
-        X = np.stack([apply_normalizer(normalizer, row) for row in X])
+        X = apply_normalizer(normalizer, X)
     return train(
         X,
         dataset.signs(),
@@ -498,12 +508,7 @@ def save_model(model: SvmModel, sink) -> None:
         "c": model.config.c,
         "bias": model.bias,
         "positive_label": model.positive_label,
-        "normalizer": None
-        if model.normalizer is None
-        else {
-            "min": model.normalizer.minimum.tolist(),
-            "max": model.normalizer.maximum.tolist(),
-        },
+        "normalizer": modelfile.normalizer_to_json(model.normalizer),
         "support_vectors": model.support_vectors.tolist(),
         "dual_coeffs": model.dual_coeffs.tolist(),
         "train_positive_prior": model.train_positive_prior,
@@ -528,20 +533,7 @@ def load_model(source) -> SvmModel:
             f"{coeffs.shape[0]} dual coefficients for {svs.shape[0]} "
             "support vectors"
         )
-    raw_norm = modelfile.require(doc, "normalizer")
-    normalizer = None
-    if raw_norm is not None:
-        if not isinstance(raw_norm, dict):
-            raise ModelFormatError("field 'normalizer' must be an object or null")
-        minimum = modelfile.finite_vector(
-            modelfile.require(raw_norm, "min"), "normalizer.min"
-        )
-        maximum = modelfile.finite_vector(
-            modelfile.require(raw_norm, "max"), "normalizer.max"
-        )
-        if minimum.shape != maximum.shape or minimum.shape[0] != svs.shape[1]:
-            raise ModelMismatchError("normalizer arrays do not match model dimension")
-        normalizer = Normalizer(minimum=minimum, maximum=maximum, fitted_on=0)
+    normalizer = modelfile.normalizer_from_json(doc, svs.shape[1])
     prior = doc.get("train_positive_prior")
     if prior is not None:
         prior = modelfile.finite_scalar(prior, "train_positive_prior")

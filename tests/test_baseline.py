@@ -14,6 +14,7 @@ from gpcrsvm.baseline import (
 )
 from gpcrsvm.errors import DegenerateDataError, ModelFormatError, ModelMismatchError
 from gpcrsvm.seqio import Label
+from gpcrsvm.svm import SCORE_BLOCK
 
 from test_svm import toy_dataset
 
@@ -119,6 +120,15 @@ def test_nb_fit_dataset_pipeline():
     assert model.train_positive_prior == 0.5
     preds = nb_predict(model, dataset.matrix())
     assert preds == [v.label for v in dataset.vectors]
+
+
+def test_batch_log_odds_equal_row_by_row_across_block_seams():
+    rng = np.random.default_rng(23)
+    model = nb_fit_dataset(toy_dataset(rng))
+    probe = rng.normal(0.5, 0.3, size=(2 * SCORE_BLOCK + 1, 24))
+    batch = log_odds(model, probe)
+    assert batch.shape == (len(probe),)
+    assert (batch == np.array([log_odds(model, x) for x in probe])).all()
 
 
 def test_nb_persistence_round_trip(tmp_path):

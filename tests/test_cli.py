@@ -304,6 +304,44 @@ def test_predict_lists_each_sequence(feature_csv, tmp_path, capsys):
     assert first[0].startswith("SYN") and first[1] in ("human", "other")
 
 
+@pytest.fixture()
+def nan_csv(feature_csv):
+    """The feature table with the 'ntl' cell of SYN0004_HUMAN set to nan."""
+    lines = feature_csv.read_text().splitlines(keepends=True)
+    cells = lines[5].split(",")
+    assert cells[0] == "SYN0004_HUMAN"
+    cells[1 + features.FEATURE_NAMES.index("ntl")] = "nan"
+    lines[5] = ",".join(cells)
+    out = feature_csv.with_name("nan.csv")
+    out.write_text("".join(lines))
+    return out
+
+
+@pytest.mark.parametrize("extra", [[], ["--baseline", "nb"]], ids=["svm", "nb"])
+def test_train_rejects_non_finite_cell_before_writing(nan_csv, tmp_path, capsys, extra):
+    model_path = tmp_path / "model.json"
+    rc = main(["train", "--features", str(nan_csv), "--model", str(model_path), *extra])
+    assert rc == 2
+    assert not model_path.exists()
+    assert "row 'SYN0004_HUMAN' column 'ntl'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_scoring_rejects_non_finite_cell(
+    feature_csv, nan_csv, tmp_path, capsys, command
+):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--features", str(feature_csv), "--model", str(model_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.txt"
+    rc = main([command, "--features", str(nan_csv), "--model", str(model_path),
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert not out.exists() and captured.out == ""
+    assert "row 'SYN0004_HUMAN' column 'ntl'" in captured.err
+
+
 def test_cross_validate_defaults_to_ten_folds(feature_csv, capsys):
     rc = main(["cross-validate", "--features", str(feature_csv), "--seed", "2"])
     captured = capsys.readouterr().out

@@ -340,7 +340,7 @@ def test_leave_one_out_partition():
 
 def test_cross_validate_pools_all_instances():
     ds = balanced_dataset(3, 3)
-    fit = lambda train_ds: (lambda x: H)
+    fit = lambda train_ds: (lambda X: [H] * len(X))
     result = cross_validate(ds, 6, fit, seed=1)
     assert result.pooled.matrix.total == 6
     assert len(result.folds) == 6
@@ -358,7 +358,7 @@ def test_stratified_folds_validation():
 
 def test_cross_validate_constant_predictor_error_metrics():
     ds = balanced_dataset(4, 4)
-    fit = lambda train_ds: (lambda x: H)
+    fit = lambda train_ds: (lambda X: [H] * len(X))
     result = cross_validate(ds, 2, fit, seed=3)
     m = result.pooled.matrix
     assert (m.tp, m.fp, m.fn, m.tn) == (4, 4, 0, 0)
@@ -398,10 +398,13 @@ def oracle_fitter(gamma, c):
         bias = qp_oracle.optimal_bias(K, y, alpha, c)
         beta = alpha * y
 
-        def predictor(x):
-            xn = apply_normalizer(normalizer, x)
-            k = np.exp(-gamma * np.sum((X - xn) ** 2, axis=1))
-            return H if float(k @ beta + bias) >= 0 else O
+        def predictor(rows):
+            labels = []
+            for x in rows:
+                xn = apply_normalizer(normalizer, x)
+                k = np.exp(-gamma * np.sum((X - xn) ** 2, axis=1))
+                labels.append(H if float(k @ beta + bias) >= 0 else O)
+            return labels
 
         return predictor
 
@@ -413,10 +416,10 @@ def test_separable_clusters_cross_validate_perfectly():
     ds = gaussian_dataset(rng, n_per_class=50, d=4, separation=10.0)
     config = svm.SvmConfig()  # defaults: gamma=10, c=1
     svm_fit = lambda train_ds: (
-        lambda x, model=svm.fit_dataset(train_ds, config): svm.predict(model, x)
+        lambda X, model=svm.fit_dataset(train_ds, config): svm.predict(model, X)
     )
     nb_fit = lambda train_ds: (
-        lambda x, model=nb_fit_dataset(train_ds): nb_predict(model, x)
+        lambda X, model=nb_fit_dataset(train_ds): nb_predict(model, X)
     )
     for fit in (svm_fit, nb_fit, oracle_fitter(10.0, 1.0)):
         result = cross_validate(ds, 10, fit, seed=42)

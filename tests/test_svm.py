@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gpcrsvm import modelfile, svm
 from gpcrsvm.errors import DegenerateDataError, ModelFormatError, ModelMismatchError
 from gpcrsvm.features import Dataset, FeatureVector
 from gpcrsvm.seqio import Label
@@ -231,6 +232,33 @@ def test_decision_function_dimension_mismatch():
         predict(model, np.zeros((2, 5)))
 
 
+def test_row_cache_path_matches_dense_gram(monkeypatch):
+    # The branches round kernel entries differently, so SMO takes other
+    # pairs; at a tight tolerance both must still reach the one optimum
+    # (the RBF Gram matrix of distinct points is positive definite).
+    rng = np.random.default_rng(12)
+    X, y = random_problem(rng, n=120, d=4)
+    config = SvmConfig(gamma=1.0, c=1.0, kkt_tolerance=1e-11)
+    dense = train(X, y, config).diagnostics
+    monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", 50)  # n = 120 takes the LRU rows
+    cached = train(X, y, config).diagnostics
+    np.testing.assert_allclose(cached.alphas_full, dense.alphas_full, rtol=0, atol=1e-9)
+    assert cached.objective == pytest.approx(dense.objective, rel=0, abs=1e-9)
+    assert cached.converged and dense.converged
+
+
+def test_batch_scores_equal_row_by_row_across_block_seams():
+    rng = np.random.default_rng(21)
+    model = fit_dataset(toy_dataset(rng), SvmConfig(gamma=1.0, c=1.0))
+    probe = rng.uniform(0.0, 1.0, size=(2 * svm.SCORE_BLOCK + 1, 24))
+    batch = decision_function(model, probe)
+    assert batch.shape == (len(probe),)
+    # BLAS rounds a matrix-matrix product differently from a matrix-vector
+    # one (and by block height), so rows agree to rounding, not bit for bit.
+    rows = np.array([decision_function(model, x) for x in probe])
+    np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12)
+
+
 # -- pipeline fit ------------------------------------------------------------
 
 
@@ -288,6 +316,13 @@ def test_save_load_round_trip_is_exact(tmp_path):
     np.testing.assert_allclose(original, restored, rtol=0, atol=1e-12)
     assert loaded.train_positive_prior == model.train_positive_prior
     assert loaded.positive_label == model.positive_label
+
+
+def test_write_document_leaves_no_file_for_non_finite_payload(tmp_path):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError):
+        modelfile.write_document({"schema": "gpcr-svm/1", "bias": math.nan}, path)
+    assert not path.exists()
 
 
 def test_load_rejects_truncated_file():
