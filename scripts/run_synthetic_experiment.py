@@ -26,12 +26,18 @@ def nb_fitter():
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=224)
-    parser.add_argument("--train-count", type=int, default=188)
+    parser.add_argument("--train-count", type=int, default=None,
+                        help="holdout training rows (default: the paper's "
+                             "188/224 share of --n)")
     parser.add_argument("--cv", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--gamma", type=float, default=10.0)
     parser.add_argument("--c", type=float, default=1.0)
     args = parser.parse_args()
+    if args.train_count is None:
+        args.train_count = round(args.n * 188 / 224)
+    if not 0 < args.train_count < args.n:
+        parser.error(f"--train-count must be in 1..{args.n - 1}, got {args.train_count}")
 
     corpus = synthetic.make_corpus(n_sequences=args.n, seed=args.seed)
     labeled, _ = seqio.assign_labels(corpus.records)

@@ -7,6 +7,7 @@ hold the N-terminal and three extracellular loop lengths.
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -202,6 +203,14 @@ def write_feature_csv(vectors: list[FeatureVector], sink) -> None:
             handle.close()
 
 
+def _float_or_nan(cell: str) -> float:
+    """A cell's number, or nan (reported as not finite) if it is none."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
 def read_feature_csv(source) -> Dataset:
     """Read a feature table written by write_feature_csv. Every feature
     cell must be a finite number."""
@@ -224,16 +233,21 @@ def read_feature_csv(source) -> Dataset:
                     f"feature table row for '{row[0]}' has {len(row)} fields, "
                     f"expected {N_FEATURES + 2}"
                 )
-            values = np.array([float(x) for x in row[1 : N_FEATURES + 1]])
+            values = np.array([_float_or_nan(x) for x in row[1 : N_FEATURES + 1]])
             if not np.isfinite(values).all():
                 j = int(np.argmin(np.isfinite(values)))
                 raise ValueError(
                     f"feature table row '{row[0]}' column '{FEATURE_NAMES[j]}': "
                     f"{row[1 + j]!r} is not a finite number"
                 )
-            vectors.append(
-                FeatureVector(values=values, label=Label(row[-1]), source_id=row[0])
-            )
+            try:
+                label = Label(row[-1])
+            except ValueError:
+                raise ValueError(
+                    f"feature table row '{row[0]}' column 'label': {row[-1]!r} "
+                    f"is not one of {', '.join(lab.value for lab in Label)}"
+                ) from None
+            vectors.append(FeatureVector(values=values, label=label, source_id=row[0]))
     finally:
         if own:
             handle.close()

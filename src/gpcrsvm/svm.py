@@ -7,12 +7,16 @@ The trainer solves the dual problem
     s.t. 0 <= alpha_i <= C,   sum_i alpha_i y_i = 0
 
 by repeatedly picking a pair of multipliers that violates the optimality
-conditions and solving the two-variable subproblem analytically. Pair
-selection is deterministic: the first multiplier is the worst violator
-found on a scan (non-bound multipliers first, full scans as fallback), the
-second maximizes the error difference |E1 - E2| with ties broken by lowest
-index, falling back to the bias-free extreme pair and then an index-order
-sweep if the preferred choice cannot move.
+conditions and solving the two-variable subproblem analytically. Each round
+computes its selection state once: the optimality gap, every point's KKT
+violation and the bias-free extreme pair. The gap test and every pair tried
+in that round read this state, which stays valid because a pair that cannot
+move changes nothing. Pair selection is deterministic: the first multiplier
+is the worst violator (non-bound multipliers first, full scans as fallback),
+and the stable worst-first order of all violators is sorted only when the
+worst one cannot move. The second maximizes the error difference |E1 - E2|
+with ties broken by lowest index, falling back to the bias-free extreme pair
+and then an index-order sweep if the preferred choice cannot move.
 
 Scoring takes whole matrices: `score` scales a batch of raw rows in one call,
 `decision_function` scores it in blocks of SCORE_BLOCK (256) rows so the
@@ -21,6 +25,7 @@ kernel block stays within 256 x n_SV floats, and `predict` labels the scores.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,24 +136,20 @@ class SvmModel:
 
 class _KernelCache:
     """Row access to the Gram matrix: dense up to FULL_GRAM_LIMIT points,
-    LRU-cached rows beyond that."""
+    LRU-cached rows beyond that. `row` holds no reference back to the cache,
+    so reference counting frees each fit's kernel as soon as the fit ends."""
 
     def __init__(self, X: np.ndarray, gamma: float, full_limit: int):
         self.X = X
         self.gamma = gamma
-        self.n = X.shape[0]
-        if self.n <= full_limit:
+        if X.shape[0] <= full_limit:
             self._matrix = rbf_gram(X, None, gamma)
-            self.row = lambda i: self._matrix[i]
+            self.row = self._matrix.__getitem__
         else:
             self._matrix = None
-            self.row = lru_cache(maxsize=4096)(self._compute_row)
-
-    def _compute_row(self, i: int) -> np.ndarray:
-        return rbf_gram(self.X[i : i + 1], self.X, self.gamma)[0]
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.row(i)[j])
+            self.row = lru_cache(maxsize=4096)(
+                lambda i: rbf_gram(X[i : i + 1], X, gamma)[0]
+            )
 
     def decision_without_bias(self, beta: np.ndarray) -> np.ndarray:
         if self._matrix is not None:
@@ -171,10 +172,21 @@ def kkt_violations(
     return viol
 
 
+class _Round(NamedTuple):
+    """Selection state of one round. Every examine in a scan can share it,
+    because a take_step that fails changes nothing."""
+
+    gap: float  # max(lower G) - min(upper G); optimal when <= 2 * tol
+    viol: np.ndarray  # per-point KKT violation in margin units
+    free: np.ndarray  # 0 < alpha < C, up to bound_tol
+    lo_idx: int  # argmax of G over the lower set
+    up_idx: int  # argmin of G over the upper set
+
+
 class _SmoSolver:
     def __init__(self, X, y, config: SvmConfig, debug: bool):
-        self.X = X
         self.y = y
+        self.pos = y > 0
         self.n = X.shape[0]
         self.c = config.c
         self.tol = config.kkt_tolerance
@@ -186,6 +198,7 @@ class _SmoSolver:
         self.bias = 0.0
         # Error cache: E_i = f(x_i) - y_i with the current alpha and bias.
         self.errors = self.bias - y.astype(float)
+        self._delta = np.empty((2, self.n))  # terms of one error update
         self.bound_tol = 1e-8 * self.c
         self.debug = debug
         self.history: list[float] = [0.0] if debug else []
@@ -198,33 +211,35 @@ class _SmoSolver:
     # Optimality within tolerance <=> max(lower) - min(upper) <= 2 * tol.
 
     def _sets(self):
-        at_zero = self.alpha <= self.bound_tol
-        at_c = self.alpha >= self.c - self.bound_tol
-        pos = self.y > 0
-        lower = (pos & ~at_c) | (~pos & ~at_zero)
-        upper = (pos & ~at_zero) | (~pos & ~at_c)
-        return lower, upper
+        """Masks can_grow, can_shrink, lower and upper for the current alpha."""
+        can_grow = self.alpha < self.c - self.bound_tol
+        can_shrink = self.alpha > self.bound_tol
+        lower = (self.pos & can_grow) | (~self.pos & can_shrink)
+        upper = (self.pos & can_shrink) | (~self.pos & can_grow)
+        return can_grow, can_shrink, lower, upper
 
-    def optimality_gap(self) -> float:
+    def _round(self) -> _Round:
+        can_grow, can_shrink, lower, upper = self._sets()
         g = self.bias - self.errors
-        lower, upper = self._sets()
-        return float(np.max(g[lower]) - np.min(g[upper]))
-
-    def _extreme_pair(self) -> tuple[int, int]:
-        g = self.bias - self.errors
-        lower, upper = self._sets()
         lo = np.where(lower, g, -np.inf)
         up = np.where(upper, g, np.inf)
-        return int(np.argmax(lo)), int(np.argmin(up))
+        lo_idx, up_idx = int(lo.argmax()), int(up.argmin())
+        r = self.y * self.errors
+        viol = np.maximum(np.where(can_grow, -r, 0.0), np.where(can_shrink, r, 0.0))
+        return _Round(
+            float(lo[lo_idx] - up[up_idx]), viol, can_grow & can_shrink,
+            lo_idx, up_idx,
+        )
 
     # -- pair updates ------------------------------------------------------
 
     def take_step(self, i1: int, i2: int) -> bool:
         if i1 == i2:
             return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1, e2 = self.errors[i1], self.errors[i2]
+        # Python floats: the same IEEE arithmetic as numpy scalars, faster.
+        a1, a2 = self.alpha.item(i1), self.alpha.item(i2)
+        y1, y2 = self.y.item(i1), self.y.item(i2)
+        e1, e2 = self.errors.item(i1), self.errors.item(i2)
         s = y1 * y2
         if s < 0:
             lo, hi = max(0.0, a2 - a1), min(self.c, self.c + a2 - a1)
@@ -232,9 +247,8 @@ class _SmoSolver:
             lo, hi = max(0.0, a1 + a2 - self.c), min(self.c, a1 + a2)
         if hi - lo <= 0:
             return False
-        k11 = self.kernel.entry(i1, i1)
-        k12 = self.kernel.entry(i1, i2)
-        k22 = self.kernel.entry(i2, i2)
+        row1, row2 = self.kernel.row(i1), self.kernel.row(i2)
+        k11, k12, k22 = row1.item(i1), row1.item(i2), row2.item(i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > _ETA_EPS:
             a2_new = a2 + y2 * (e1 - e2) / eta
@@ -266,10 +280,14 @@ class _SmoSolver:
             new_bias = b2
         else:
             new_bias = 0.5 * (b1 + b2)
-        self.errors += (
-            d1 * self.kernel.row(i1) + d2 * self.kernel.row(i2)
-            + (new_bias - self.bias)
-        )
+        # errors += (d1 * K[i1] + d2 * K[i2]) + (new_bias - bias), summed in
+        # that order without temporaries.
+        t1, t2 = self._delta
+        np.multiply(row1, d1, out=t1)
+        np.multiply(row2, d2, out=t2)
+        t1 += t2
+        t1 += new_bias - self.bias
+        self.errors += t1
         self.alpha[i1] = a1_new
         self.alpha[i2] = a2_new
         self.bias = new_bias
@@ -304,14 +322,13 @@ class _SmoSolver:
             - 0.5 * (d1 * d1 * k11 + 2.0 * d1 * d2 * k12 + d2 * d2 * k22)
         )
 
-    def examine(self, i1: int) -> bool:
+    def examine(self, i1: int, state: _Round) -> bool:
         """Try second choices for i1 until one moves: the |E1 - E2|
         maximizer, the bias-free extreme pair partner, then everything."""
         diffs = np.abs(self.errors[i1] - self.errors)
         diffs[i1] = -1.0
-        candidates = [int(np.argmax(diffs))]
-        lo_idx, up_idx = self._extreme_pair()
-        candidates.extend([up_idx if i1 == lo_idx else lo_idx, lo_idx, up_idx])
+        lo, up = state.lo_idx, state.up_idx
+        candidates = (int(diffs.argmax()), up if i1 == lo else lo, lo, up)
         seen = set()
         for i2 in candidates:
             if i2 != i1 and i2 not in seen:
@@ -324,23 +341,23 @@ class _SmoSolver:
                     return True
         return False
 
-    def scan(self, non_bound_only: bool) -> bool:
+    def scan(self, state: _Round, non_bound_only: bool) -> bool:
         """One selection pass: examine violators, worst first. Returns True
         as soon as any pair update succeeds."""
         self.scans += 1
-        r = self.y * self.errors
-        viol = np.zeros(self.n)
-        can_grow = self.alpha < self.c - self.bound_tol
-        can_shrink = self.alpha > self.bound_tol
-        viol[can_grow] = np.maximum(viol[can_grow], -r[can_grow])
-        viol[can_shrink] = np.maximum(viol[can_shrink], r[can_shrink])
-        if non_bound_only:
-            viol[~(can_grow & can_shrink)] = 0.0
-        order = np.argsort(-viol, kind="stable")
-        for i1 in order:
+        viol = np.where(state.free, state.viol, 0.0) if non_bound_only else state.viol
+        # The worst violator nearly always moves, so the full order (a
+        # stable argsort, ties to the lowest index) is built only when it
+        # cannot.
+        worst = int(viol.argmax())
+        if viol[worst] <= self.tol:
+            return False
+        if self.examine(worst, state):
+            return True
+        for i1 in np.argsort(-viol, kind="stable")[1:]:
             if viol[i1] <= self.tol:
                 break
-            if self.examine(int(i1)):
+            if self.examine(int(i1), state):
                 return True
         return False
 
@@ -350,15 +367,17 @@ class _SmoSolver:
         return float(np.sum(self.alpha) - 0.5 * beta @ u)
 
     def solve(self) -> bool:
-        """Run scans to convergence. Returns True when the optimality gap
-        closed, False when the solver stalled or ran out of budget."""
+        """Run rounds to convergence, each a gap test and a scan over one
+        selection state. Returns True when the optimality gap closed, False
+        when the solver stalled or ran out of budget."""
         hard_cap = max(100_000, 200 * self.n)
         stalled = 0
         non_bound = False
         while self.updates < hard_cap:
-            if self.optimality_gap() <= 2.0 * self.tol:
+            state = self._round()
+            if state.gap <= 2.0 * self.tol:
                 return True
-            if self.scan(non_bound):
+            if self.scan(state, non_bound):
                 stalled = 0
                 non_bound = True
                 continue
@@ -371,7 +390,7 @@ class _SmoSolver:
             # A full scan tried every violator against every partner and
             # nothing moved; repeating it cannot help.
             return False
-        return self.optimality_gap() <= 2.0 * self.tol
+        return self._round().gap <= 2.0 * self.tol
 
 
 def train(
@@ -417,7 +436,7 @@ def train(
     beta = alpha * y
     u = solver.kernel.decision_without_bias(beta)
     g = y - u
-    lower, upper = solver._sets()
+    lower, upper = solver._sets()[2:]
     bias = 0.5 * (float(np.max(g[lower])) + float(np.min(g[upper])))
 
     viol = kkt_violations(alpha, y, u + bias, config.c)

@@ -202,6 +202,7 @@ def test_criterion_5_kkt_invariants(oracle_corpus_results):
             and np.all(alphas <= config.c)
             and abs(float(np.dot(alphas, y))) <= 1e-8
             and float(np.max(viol)) <= config.kkt_tolerance + 1e-12
+            and len(diag.objective_history) == diag.updates + 1
             and all(
                 later >= earlier - 1e-9 * max(1.0, abs(earlier))
                 for earlier, later in zip(

@@ -304,17 +304,24 @@ def test_predict_lists_each_sequence(feature_csv, tmp_path, capsys):
     assert first[0].startswith("SYN") and first[1] in ("human", "other")
 
 
+def with_cell(feature_csv, column, text):
+    """A copy of the feature table with SYN0004_HUMAN's cell in column set
+    to text."""
+    lines = feature_csv.read_text().splitlines(keepends=True)
+    body = lines[5].rstrip("\r\n")
+    cells = body.split(",")
+    assert cells[0] == "SYN0004_HUMAN"
+    cells[lines[0].rstrip("\r\n").split(",").index(column)] = text
+    lines[5] = ",".join(cells) + lines[5][len(body):]
+    out = feature_csv.with_name(f"bad_{column}.csv")
+    out.write_text("".join(lines))
+    return out
+
+
 @pytest.fixture()
 def nan_csv(feature_csv):
     """The feature table with the 'ntl' cell of SYN0004_HUMAN set to nan."""
-    lines = feature_csv.read_text().splitlines(keepends=True)
-    cells = lines[5].split(",")
-    assert cells[0] == "SYN0004_HUMAN"
-    cells[1 + features.FEATURE_NAMES.index("ntl")] = "nan"
-    lines[5] = ",".join(cells)
-    out = feature_csv.with_name("nan.csv")
-    out.write_text("".join(lines))
-    return out
+    return with_cell(feature_csv, "ntl", "nan")
 
 
 @pytest.mark.parametrize("extra", [[], ["--baseline", "nb"]], ids=["svm", "nb"])
@@ -324,6 +331,23 @@ def test_train_rejects_non_finite_cell_before_writing(nan_csv, tmp_path, capsys,
     assert rc == 2
     assert not model_path.exists()
     assert "row 'SYN0004_HUMAN' column 'ntl'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, text, message",
+    [
+        ("ntl", "abc", "column 'ntl': 'abc' is not a finite number"),
+        ("label", "frog", "column 'label': 'frog' is not one of human, other"),
+    ],
+    ids=["not-a-number", "unknown-label"],
+)
+def test_train_names_the_bad_cell(feature_csv, tmp_path, capsys, column, text, message):
+    model_path = tmp_path / "model.json"
+    bad = with_cell(feature_csv, column, text)
+    rc = main(["train", "--features", str(bad), "--model", str(model_path)])
+    assert rc == 2
+    assert not model_path.exists()
+    assert f"row 'SYN0004_HUMAN' {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])

@@ -237,13 +237,22 @@ def test_feature_csv_rejects_bad_header():
         read_feature_csv(io.StringIO("id,foo,label\nA,1,human\n"))
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
 def test_feature_csv_rejects_non_finite_cell(cell):
     header = "id," + ",".join(FEATURE_NAMES) + ",label\n"
     values = ["0.5"] * len(FEATURE_NAMES)
     values[FEATURE_NAMES.index("ecl2")] = cell
     row = "B_BOVIN," + ",".join(values) + ",other\n"
     with pytest.raises(ValueError, match=r"row 'B_BOVIN' column 'ecl2'"):
+        read_feature_csv(io.StringIO(header + row))
+
+
+def test_feature_csv_rejects_unknown_label():
+    header = "id," + ",".join(FEATURE_NAMES) + ",label\n"
+    row = "B_BOVIN," + ",".join(["0.5"] * len(FEATURE_NAMES)) + ",frog\n"
+    with pytest.raises(
+        ValueError, match=r"row 'B_BOVIN' column 'label': 'frog' is not one of human, other"
+    ):
         read_feature_csv(io.StringIO(header + row))
 
 

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -188,6 +190,7 @@ def test_kkt_invariants_hold_after_training():
         assert diag.max_kkt_violation <= config.kkt_tolerance
         assert diag.converged
         history = diag.objective_history
+        assert len(history) == diag.updates + 1
         assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(history, history[1:]))
 
 
@@ -245,6 +248,79 @@ def test_row_cache_path_matches_dense_gram(monkeypatch):
     np.testing.assert_allclose(cached.alphas_full, dense.alphas_full, rtol=0, atol=1e-9)
     assert cached.objective == pytest.approx(dense.objective, rel=0, abs=1e-9)
     assert cached.converged and dense.converged
+
+
+def overlapping_problem(seed, n, d, flip):
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    X = rng.normal(size=(n, d)) + 0.8 * y[:, None]
+    return X, np.where(rng.random(n) < flip, -y, y)
+
+
+def twin_problem():
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(size=(5, 2)) + 5, rng.normal(size=(5, 2)) - 5,
+                   [[0.5, 0.5], [0.5, 0.5]]])
+    return X, np.array([1.0] * 5 + [-1.0] * 5 + [1.0, -1.0])
+
+
+# (problem, config, FULL_GRAM_LIMIT, updates, scans, converged, objective),
+# recorded from the solver before its per-round state was shared. Any
+# change to the pair-selection rule moves these counts.
+SELECTION_PINS = [
+    pytest.param(lambda: overlapping_problem(102, 200, 5, 0.2),
+                 dict(gamma=0.5, c=10.0), None,
+                 740, 741, True, 225.65165003896166, id="dense"),
+    pytest.param(twin_problem, dict(gamma=1.0, c=1.0, kkt_tolerance=1e-6), None,
+                 46, 49, True, 5.09561130020678, id="zero-curvature"),
+    # At this tolerance the worst violator often cannot move, so scans
+    # fall back to the sorted violator order.
+    pytest.param(lambda: overlapping_problem(200, 80, 3, 0.3),
+                 dict(gamma=10.0, c=1.0, kkt_tolerance=1e-15), None,
+                 393, 416, False, 39.52319152330466, id="sorted-fallback"),
+    pytest.param(lambda: overlapping_problem(103, 120, 4, 0.15),
+                 dict(gamma=1.0, c=1.0), 50,
+                 240, 265, True, 41.63533688389806, id="row-cache"),
+    pytest.param(lambda: overlapping_problem(104, 150, 3, 0.25),
+                 dict(gamma=2.0, c=100.0), 100,
+                 1306, 1307, True, 456.67695797395885, id="row-cache-large-c"),
+    pytest.param(lambda: overlapping_problem(105, 100, 3, 0.3),
+                 dict(gamma=2.0, c=100.0, max_passes=1), None,
+                 1, 2, False, 1.0000000001071039, id="stall-exit"),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, config, limit, updates, scans, converged, objective", SELECTION_PINS
+)
+def test_selection_rule_is_pinned(
+    monkeypatch, problem, config, limit, updates, scans, converged, objective
+):
+    if limit is not None:
+        monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", limit)
+    diag = train(*problem(), SvmConfig(**config)).diagnostics
+    assert (diag.updates, diag.scans, diag.converged) == (updates, scans, converged)
+    assert diag.objective == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("limit", [2000, 50], ids=["dense", "row-cache"])
+def test_fit_frees_its_kernel_without_the_cycle_collector(monkeypatch, limit):
+    caches = []
+
+    class RecordedCache(svm._KernelCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(weakref.ref(self))
+
+    monkeypatch.setattr(svm, "_KernelCache", RecordedCache)
+    monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", limit)
+    X, y = overlapping_problem(106, 120, 4, 0.2)
+    gc.disable()
+    try:
+        train(X, y, SvmConfig(gamma=1.0, c=1.0), debug=True)
+        assert len(caches) == 1 and caches[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_batch_scores_equal_row_by_row_across_block_seams():
