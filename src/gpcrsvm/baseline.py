@@ -6,7 +6,7 @@ import numpy as np
 
 from . import modelfile
 from .errors import DegenerateDataError, ModelFormatError
-from .features import Dataset, Normalizer, apply_normalizer, check_width, fit_normalizer
+from .features import Dataset, Normalizer, apply_normalizer, check_width, scaled_training_matrix
 from .seqio import Label, labels_from_scores
 
 NB_SCHEMA = "gpcr-nb/1"
@@ -91,19 +91,11 @@ def nb_predict(model: NbModel, x: np.ndarray) -> Label | list[Label]:
 
 def nb_fit_dataset(dataset: Dataset, normalize: str = "minmax") -> NbModel:
     """Pipeline fit mirroring the SVM path: normalizer fitted on the
-    training vectors, then the Gaussian model."""
-    if normalize not in ("minmax", "none"):
-        raise ValueError(f"unknown normalization mode {normalize!r}")
-    if not dataset.vectors:
-        raise DegenerateDataError("cannot train on an empty dataset")
-    X = dataset.matrix()
-    normalizer = None
-    if normalize == "minmax":
-        normalizer = fit_normalizer(dataset.vectors)
-        X = apply_normalizer(normalizer, X)
+    training rows, then the Gaussian model."""
+    X, normalizer = scaled_training_matrix(dataset, normalize)
     return nb_train(
         X,
-        dataset.signs(),
+        dataset.y,
         normalizer=normalizer,
         train_positive_prior=dataset.positive_fraction(),
     )

@@ -151,17 +151,22 @@ def _require(args, *flags) -> None:
 
 
 def _dataset_from_args(args) -> Dataset:
-    """Load the feature table, or run the extraction pipeline on raw files."""
+    """Load the feature table, or run the extraction pipeline on raw files.
+    An empty result is exit 3 for every command that reads a dataset."""
     if args.features is not None:
-        return features.read_feature_csv(args.features)
-    _require(args, "fasta", "topology")
-    records = seqio.parse_fasta(_read_text(args.fasta))
-    overrides = None
-    if args.labels is not None:
-        overrides = seqio.parse_label_overrides(_read_text(args.labels))
-    labeled, _ = seqio.assign_labels(records, overrides)
-    maps = topology.parse_topology(_read_text(args.topology))
-    return features.assemble_dataset(labeled, maps)
+        dataset = features.read_feature_csv(args.features)
+    else:
+        _require(args, "fasta", "topology")
+        records = seqio.parse_fasta(_read_text(args.fasta))
+        overrides = None
+        if args.labels is not None:
+            overrides = seqio.parse_label_overrides(_read_text(args.labels))
+        labeled, _ = seqio.assign_labels(records, overrides)
+        maps = topology.parse_topology(_read_text(args.topology))
+        dataset = features.assemble_dataset(labeled, maps)
+    if not len(dataset):
+        raise _CliError(EXIT_EMPTY, "no usable sequences in the input")
+    return dataset
 
 
 def _print_provenance(dataset: Dataset) -> None:
@@ -175,9 +180,7 @@ def _print_provenance(dataset: Dataset) -> None:
 
 
 def _svm_config(args) -> svm.SvmConfig:
-    return svm.SvmConfig(
-        gamma=args.gamma, c=args.c, kkt_tolerance=args.kkt_tol, seed=args.seed
-    )
+    return svm.SvmConfig(gamma=args.gamma, c=args.c, kkt_tolerance=args.kkt_tol)
 
 
 def _make_fitter(args) -> evaluation.Fitter:
@@ -233,10 +236,10 @@ def cmd_extract_features(args) -> int:
     maps = topology.parse_topology(_read_text(args.topology))
     dataset = features.assemble_dataset(labeled, maps)
     _print_provenance(dataset)
-    if not dataset.vectors:
+    if not len(dataset):
         print("no usable sequences; feature table not written")
         return EXIT_EMPTY
-    features.write_feature_csv(dataset.vectors, args.out)
+    features.write_feature_csv(dataset, args.out)
     print(f"wrote {len(dataset)} feature vectors to {args.out}")
     return EXIT_OK
 
@@ -244,20 +247,16 @@ def cmd_extract_features(args) -> int:
 def cmd_train(args) -> int:
     _require(args, "model")
     dataset = _dataset_from_args(args)
-    if not dataset.vectors:
-        return EXIT_EMPTY
     if args.baseline == "nb":
         model = baseline.nb_fit_dataset(dataset, normalize=args.normalize)
         baseline.save_nb_model(model, args.model)
-        predictions = baseline.nb_predict(model, dataset.matrix())
+        predictions = baseline.nb_predict(model, dataset.X)
     else:
         model = svm.fit_dataset(dataset, _svm_config(args), normalize=args.normalize)
         svm.save_model(model, args.model)
         print(f"support vectors: {len(model.dual_coeffs)} of {len(dataset)}")
-        predictions = svm.predict(model, dataset.matrix())
-    correct = sum(
-        1 for v, p in zip(dataset.vectors, predictions) if v.label is p
-    )
+        predictions = svm.predict(model, dataset.X)
+    correct = sum(1 for a, p in zip(dataset.labels, predictions) if a is p)
     print(f"training accuracy: {100.0 * correct / len(dataset):.4f} %")
     print(f"wrote model to {args.model}")
     return EXIT_OK
@@ -281,8 +280,6 @@ def cmd_evaluate(args) -> int:
     _require(args, "model")
     model, score = _load_any_model(args.model)
     dataset = _dataset_from_args(args)
-    if not dataset.vectors:
-        return EXIT_EMPTY
     records = evaluation.predict_records(
         lambda X: seqio.labels_from_scores(score(X)), dataset
     )
@@ -297,14 +294,10 @@ def cmd_predict(args) -> int:
     _require(args, "model")
     _, score = _load_any_model(args.model)
     dataset = _dataset_from_args(args)
-    if not dataset.vectors:
-        return EXIT_EMPTY
-    scores = score(dataset.matrix())
+    scores = score(dataset.X)
     text = "".join(
-        f"{vec.source_id}\t{label.value}\t{s:.6f}\n"
-        for vec, label, s in zip(
-            dataset.vectors, seqio.labels_from_scores(scores), scores
-        )
+        f"{seq_id}\t{label.value}\t{s:.6f}\n"
+        for seq_id, label, s in zip(dataset.ids, seqio.labels_from_scores(scores), scores)
     )
     print(text, end="")
     if args.out is not None:

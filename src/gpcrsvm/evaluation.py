@@ -244,10 +244,10 @@ def predict_records(
     predictor: Predictor, dataset: Dataset
 ) -> tuple[PredictionRecord, ...]:
     """Label every instance of the dataset with one predictor call."""
-    labels = predictor(dataset.matrix())
+    labels = predictor(dataset.X)
     return tuple(
-        PredictionRecord(v.source_id, v.label, p)
-        for v, p in zip(dataset.vectors, labels, strict=True)
+        PredictionRecord(seq_id, actual, p)
+        for seq_id, actual, p in zip(dataset.ids, dataset.labels, labels, strict=True)
     )
 
 
@@ -264,9 +264,8 @@ def _apportion(total: int, sizes: list[int]) -> list[int]:
 
 
 def _indices_by_class(dataset: Dataset) -> list[list[int]]:
-    pos = [i for i, v in enumerate(dataset.vectors) if v.label is Label.HUMAN]
-    neg = [i for i, v in enumerate(dataset.vectors) if v.label is not Label.HUMAN]
-    return [pos, neg]
+    pos = dataset.y > 0
+    return [np.flatnonzero(pos).tolist(), np.flatnonzero(~pos).tolist()]
 
 
 def holdout_split(

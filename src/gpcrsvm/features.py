@@ -1,19 +1,23 @@
-"""Fixed 24-dimensional feature vectors and dataset assembly.
+"""The 24 features of a sequence, datasets of them, and their scaling.
 
 Indices 0-19 hold amino acid composition fractions in alphabetical
 one-letter order (A C D E F G H I K L M N P Q R S T V W Y); indices 20-23
 hold the N-terminal and three extracellular loop lengths.
+
+A Dataset holds its rows as arrays: sequence ids, an (n, 24) matrix X and
+a vector y of +1.0 (human) / -1.0 (other). Both models train on
+`scaled_training_matrix`, which fits the min-max normalizer on X and scales
+it, and both score raw rows that pass `check_width`.
 """
 
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelMismatchError
+from .errors import DegenerateDataError, ModelMismatchError
 from .seqio import AMINO_ACIDS, Label, SequenceRecord
 from .topology import RegionLengths, TopologyMap, extract_region_lengths, validate_gpcr_topology
 
@@ -23,7 +27,6 @@ N_FEATURES = len(FEATURE_NAMES)  # 24
 # Exclusion reason codes added by dataset assembly (topology validation
 # contributes its own codes on top of these).
 NO_TOPOLOGY = "NO_TOPOLOGY"
-EMPTY_REGION = "EMPTY_REGION"
 BAD_SEQUENCE = "BAD_SEQUENCE"
 
 
@@ -45,21 +48,11 @@ def composition(residues: str) -> np.ndarray:
     return np.array([counts.get(aa, 0) / total for aa in AMINO_ACIDS])
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray  # shape (24,)
-    label: Label
-    source_id: str
-
-
-def build_vector(record: SequenceRecord, regions: RegionLengths) -> FeatureVector:
+def feature_row(record: SequenceRecord, regions: RegionLengths) -> np.ndarray:
     """Concatenate composition fractions with the four region lengths."""
-    if record.label is None:
-        raise ValueError(f"record '{record.id}' is unlabeled")
-    values = np.concatenate(
+    return np.concatenate(
         [composition(record.residues), np.array(regions.as_tuple(), dtype=float)]
     )
-    return FeatureVector(values=values, label=record.label, source_id=record.id)
 
 
 @dataclass(frozen=True)
@@ -68,16 +61,13 @@ class Normalizer:
 
     minimum: np.ndarray
     maximum: np.ndarray
-    fitted_on: int
 
 
-def fit_normalizer(vectors: list[FeatureVector]) -> Normalizer:
-    if not vectors:
+def fit_normalizer(X: np.ndarray) -> Normalizer:
+    """Column minima and maxima of a non-empty (n, d) matrix."""
+    if len(X) == 0:
         raise ValueError("cannot fit a normalizer on an empty collection")
-    matrix = np.stack([v.values for v in vectors])
-    return Normalizer(
-        minimum=matrix.min(axis=0), maximum=matrix.max(axis=0), fitted_on=len(vectors)
-    )
+    return Normalizer(minimum=X.min(axis=0), maximum=X.max(axis=0))
 
 
 def apply_normalizer(normalizer: Normalizer, values: np.ndarray) -> np.ndarray:
@@ -91,20 +81,17 @@ def apply_normalizer(normalizer: Normalizer, values: np.ndarray) -> np.ndarray:
 
 
 def check_width(x: np.ndarray, dim: int) -> np.ndarray:
-    """x (one row or an (n, d) batch) as floats; ModelMismatchError unless
-    d equals the model's dim."""
+    """x (one row or an (n, d) batch) as floats. ModelMismatchError unless
+    d equals the model's dim; ValueError naming the first row that holds a
+    nan or an infinity."""
     x = np.asarray(x, dtype=float)
-    width = np.atleast_2d(x).shape[1]
-    if width != dim:
-        raise ModelMismatchError(f"input has {width} features, model expects {dim}")
+    rows = np.atleast_2d(x)
+    if rows.shape[1] != dim:
+        raise ModelMismatchError(f"input has {rows.shape[1]} features, model expects {dim}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"input row {int(finite.argmin())} is not finite")
     return x
-
-
-def invert_normalizer(normalizer: Normalizer, scaled: np.ndarray) -> np.ndarray:
-    """Map scaled values back to the original range (constant features
-    recover their training value)."""
-    span = normalizer.maximum - normalizer.minimum
-    return scaled * span + normalizer.minimum
 
 
 @dataclass
@@ -123,37 +110,58 @@ class Provenance:
 
 @dataclass
 class Dataset:
-    vectors: list[FeatureVector]
-    normalizer: Normalizer | None = None
+    """Labeled feature rows: ids[i] names row X[i], whose sign is y[i]."""
+
+    ids: tuple[str, ...]
+    X: np.ndarray  # (n, 24) raw features
+    y: np.ndarray  # (n,) +1.0 human, -1.0 other
     provenance: Provenance = field(default_factory=Provenance)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ids)
 
-    def matrix(self) -> np.ndarray:
-        return np.stack([v.values for v in self.vectors])
-
-    def signs(self) -> np.ndarray:
-        return np.array([v.label.sign for v in self.vectors], dtype=float)
+    @property
+    def labels(self) -> list[Label]:
+        return [Label.HUMAN if s > 0 else Label.OTHER for s in self.y]
 
     def subset(self, indices: list[int]) -> "Dataset":
-        return Dataset(vectors=[self.vectors[i] for i in indices])
+        return Dataset(tuple(self.ids[i] for i in indices), self.X[indices], self.y[indices])
 
     def positive_fraction(self) -> float:
-        if not self.vectors:
+        if not len(self):
             raise ValueError("empty dataset has no class prior")
-        return sum(1 for v in self.vectors if v.label is Label.HUMAN) / len(self)
+        return int((self.y > 0).sum()) / len(self)
+
+
+def _dataset(ids: list[str], rows: list, signs: list[int], prov: Provenance) -> Dataset:
+    X = np.array(rows, dtype=float).reshape(len(ids), N_FEATURES)
+    return Dataset(tuple(ids), X, np.array(signs, dtype=float), prov)
+
+
+def scaled_training_matrix(
+    dataset: Dataset, normalize: str
+) -> tuple[np.ndarray, Normalizer | None]:
+    """The training matrix of either model and the normalizer that scaled
+    it: mode 'minmax' fits one on the dataset, 'none' keeps raw rows."""
+    if normalize not in ("minmax", "none"):
+        raise ValueError(f"unknown normalization mode {normalize!r}")
+    if not len(dataset):
+        raise DegenerateDataError("cannot train on an empty dataset")
+    if normalize == "none":
+        return dataset.X, None
+    normalizer = fit_normalizer(dataset.X)
+    return apply_normalizer(normalizer, dataset.X), normalizer
 
 
 def assemble_dataset(
     records: list[SequenceRecord], topologies: list[TopologyMap]
 ) -> Dataset:
-    """Join labeled records to their topologies and build feature vectors.
+    """Join labeled records to their topologies and build feature rows.
 
     Records are excluded (with a provenance reason) when no topology
-    matches their id, the topology fails 7TM validation, a required region
-    is empty, or the sequence has no countable residues. Duplicate record
-    ids are an error.
+    matches their id, the topology fails 7TM validation, or the sequence
+    has no countable residues. Duplicate record ids and a retained record
+    without a label are errors.
     """
     seen: set[str] = set()
     for rec in records:
@@ -163,7 +171,7 @@ def assemble_dataset(
 
     by_id = {t.sequence_id: t for t in topologies}
     prov = Provenance(ingested=len(records))
-    vectors: list[FeatureVector] = []
+    ids, rows, signs = [], [], []
     for rec in records:
         tmap = by_id.get(rec.id)
         if tmap is None:
@@ -173,20 +181,20 @@ def assemble_dataset(
         if not ok:
             prov.exclude(reason)
             continue
-        regions = extract_region_lengths(tmap)
-        if min(regions.as_tuple()) < 1:
-            prov.exclude(EMPTY_REGION)
-            continue
+        if rec.label is None:
+            raise ValueError(f"record '{rec.id}' is unlabeled")
         try:
-            vectors.append(build_vector(rec, regions))
+            rows.append(feature_row(rec, extract_region_lengths(tmap)))
         except CompositionError:
             prov.exclude(BAD_SEQUENCE)
             continue
-    prov.retained = len(vectors)
-    return Dataset(vectors=vectors, provenance=prov)
+        ids.append(rec.id)
+        signs.append(rec.label.sign)
+    prov.retained = len(ids)
+    return _dataset(ids, rows, signs, prov)
 
 
-def write_feature_csv(vectors: list[FeatureVector], sink) -> None:
+def write_feature_csv(dataset: Dataset, sink) -> None:
     """Feature table: header 'id,A,...,Y,ntl,ecl1,ecl2,ecl3,label', floats
     at full round-trip precision, labels as 'human'/'other'."""
     own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
@@ -194,10 +202,8 @@ def write_feature_csv(vectors: list[FeatureVector], sink) -> None:
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("id",) + FEATURE_NAMES + ("label",))
-        for vec in vectors:
-            writer.writerow(
-                [vec.source_id] + [repr(float(x)) for x in vec.values] + [vec.label.value]
-            )
+        for seq_id, row, label in zip(dataset.ids, dataset.X, dataset.labels):
+            writer.writerow([seq_id] + [repr(x) for x in row.tolist()] + [label.value])
     finally:
         if own:
             handle.close()
@@ -224,7 +230,7 @@ def read_feature_csv(source) -> Dataset:
             raise ValueError(
                 f"bad feature table header: expected {','.join(expected)}"
             )
-        vectors = []
+        ids, rows, signs = [], [], []
         for row in reader:
             if not row:
                 continue
@@ -233,9 +239,9 @@ def read_feature_csv(source) -> Dataset:
                     f"feature table row for '{row[0]}' has {len(row)} fields, "
                     f"expected {N_FEATURES + 2}"
                 )
-            values = np.array([_float_or_nan(x) for x in row[1 : N_FEATURES + 1]])
-            if not np.isfinite(values).all():
-                j = int(np.argmin(np.isfinite(values)))
+            values = [_float_or_nan(x) for x in row[1 : N_FEATURES + 1]]
+            if not all(map(math.isfinite, values)):
+                j = next(j for j, v in enumerate(values) if not math.isfinite(v))
                 raise ValueError(
                     f"feature table row '{row[0]}' column '{FEATURE_NAMES[j]}': "
                     f"{row[1 + j]!r} is not a finite number"
@@ -247,28 +253,10 @@ def read_feature_csv(source) -> Dataset:
                     f"feature table row '{row[0]}' column 'label': {row[-1]!r} "
                     f"is not one of {', '.join(lab.value for lab in Label)}"
                 ) from None
-            vectors.append(FeatureVector(values=values, label=label, source_id=row[0]))
+            ids.append(row[0])
+            rows.append(np.array(values))  # a list of floats holds 3x the memory
+            signs.append(label.sign)
     finally:
         if own:
             handle.close()
-    prov = Provenance(ingested=len(vectors), retained=len(vectors))
-    return Dataset(vectors=vectors, provenance=prov)
-
-
-def write_arff(vectors: list[FeatureVector], sink, relation: str = "gpcr") -> None:
-    """Attribute-relation text export: 24 numeric attributes plus a
-    two-value nominal class."""
-    buf = io.StringIO()
-    buf.write(f"@relation {relation}\n\n")
-    for name in FEATURE_NAMES:
-        buf.write(f"@attribute {name} numeric\n")
-    buf.write("@attribute class {human,other}\n\n@data\n")
-    for vec in vectors:
-        buf.write(",".join(repr(float(x)) for x in vec.values))
-        buf.write(f",{vec.label.value}\n")
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    if own:
-        with open(sink, "w") as handle:
-            handle.write(buf.getvalue())
-    else:
-        sink.write(buf.getvalue())
+    return _dataset(ids, rows, signs, Provenance(ingested=len(ids), retained=len(ids)))

@@ -101,4 +101,4 @@ def normalizer_from_json(doc: dict, dim: int) -> Normalizer | None:
     maximum = finite_vector(require(raw, "max"), "normalizer.max")
     if minimum.shape != maximum.shape or minimum.shape[0] != dim:
         raise ModelMismatchError("normalizer arrays do not match model dimension")
-    return Normalizer(minimum=minimum, maximum=maximum, fitted_on=0)
+    return Normalizer(minimum=minimum, maximum=maximum)

@@ -16,8 +16,12 @@ is the worst violator (non-bound multipliers first, full scans as fallback),
 and the stable worst-first order of all violators is sorted only when the
 worst one cannot move. The second maximizes the error difference |E1 - E2|
 with ties broken by lowest index, falling back to the bias-free extreme pair
-and then an index-order sweep if the preferred choice cannot move.
+and then an index-order sweep if the preferred choice cannot move. Training
+stops when the gap closes, or unconverged when a full scan moves nothing
+or the update cap is reached.
 
+`fit_dataset` trains on `features.scaled_training_matrix` of a dataset, and
+the model keeps the normalizer.
 Scoring takes whole matrices: `score` scales a batch of raw rows in one call,
 `decision_function` scores it in blocks of SCORE_BLOCK (256) rows so the
 kernel block stays within 256 x n_SV floats, and `predict` labels the scores.
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import modelfile
 from .errors import DegenerateDataError, ModelMismatchError
-from .features import Dataset, Normalizer, apply_normalizer, check_width, fit_normalizer
+from .features import Dataset, Normalizer, apply_normalizer, check_width, scaled_training_matrix
 from .seqio import Label, labels_from_scores
 
 SVM_SCHEMA = "gpcr-svm/1"
@@ -45,16 +49,6 @@ SCORE_BLOCK = 256  # kernel rows per block when scoring or on the row-cache path
 _ETA_EPS = 1e-12  # below this, treat the pair curvature as zero
 _STEP_EPS = 1e-12  # relative alpha movement that counts as progress
 _OBJ_SLACK = 1e-9  # tolerated per-update objective decrease (debug mode)
-
-
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2) for a single pair of vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"kernel arguments differ in shape: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-gamma * np.dot(diff, diff)))
 
 
 def rbf_gram(X: np.ndarray, Y: np.ndarray | None, gamma: float) -> np.ndarray:
@@ -90,8 +84,6 @@ class SvmConfig:
     gamma: float = 10.0
     c: float = 1.0
     kkt_tolerance: float = 1e-3
-    max_passes: int | None = None  # stall budget; None = 10 * n
-    seed: int = 42  # reserved for randomized tie-breaking; solver is deterministic
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -102,8 +94,6 @@ class SvmConfig:
             raise ValueError(
                 f"kkt_tolerance must be positive, got {self.kkt_tolerance}"
             )
-        if self.max_passes is not None and self.max_passes < 1:
-            raise ValueError(f"max_passes must be positive, got {self.max_passes}")
 
 
 @dataclass
@@ -190,9 +180,6 @@ class _SmoSolver:
         self.n = X.shape[0]
         self.c = config.c
         self.tol = config.kkt_tolerance
-        self.stall_budget = (
-            config.max_passes if config.max_passes is not None else 10 * self.n
-        )
         self.kernel = _KernelCache(X, config.gamma, FULL_GRAM_LIMIT)
         self.alpha = np.zeros(self.n)
         self.bias = 0.0
@@ -369,27 +356,21 @@ class _SmoSolver:
     def solve(self) -> bool:
         """Run rounds to convergence, each a gap test and a scan over one
         selection state. Returns True when the optimality gap closed, False
-        when the solver stalled or ran out of budget."""
+        when a full scan moved nothing or the update cap was reached."""
         hard_cap = max(100_000, 200 * self.n)
-        stalled = 0
         non_bound = False
         while self.updates < hard_cap:
             state = self._round()
             if state.gap <= 2.0 * self.tol:
                 return True
             if self.scan(state, non_bound):
-                stalled = 0
                 non_bound = True
-                continue
-            stalled += 1
-            if stalled >= self.stall_budget:
-                return False
-            if non_bound:
+            elif non_bound:
                 non_bound = False  # escalate to a full scan
-                continue
-            # A full scan tried every violator against every partner and
-            # nothing moved; repeating it cannot help.
-            return False
+            else:
+                # A full scan tried every violator against every partner and
+                # nothing moved; repeating it cannot help.
+                return False
         return self._round().gap <= 2.0 * self.tol
 
 
@@ -499,19 +480,11 @@ def fit_dataset(
     debug: bool = False,
 ) -> SvmModel:
     """Fit the full pipeline on a labeled dataset: fit the normalizer on
-    the training vectors (mode 'minmax' or 'none'), then train."""
-    if normalize not in ("minmax", "none"):
-        raise ValueError(f"unknown normalization mode {normalize!r}")
-    if not dataset.vectors:
-        raise DegenerateDataError("cannot train on an empty dataset")
-    X = dataset.matrix()
-    normalizer = None
-    if normalize == "minmax":
-        normalizer = fit_normalizer(dataset.vectors)
-        X = apply_normalizer(normalizer, X)
+    the training rows (mode 'minmax' or 'none'), then train."""
+    X, normalizer = scaled_training_matrix(dataset, normalize)
     return train(
         X,
-        dataset.signs(),
+        dataset.y,
         config,
         normalizer=normalizer,
         train_positive_prior=dataset.positive_fraction(),

@@ -47,8 +47,8 @@ class TopologyMap:
 class RegionLengths:
     """Residue counts of the four extracellular regions, N- to C-terminal.
 
-    Zero-length regions cannot arise from a tiled segment list; the value 0
-    is representable so dataset assembly can treat it as a missing value.
+    Every length is at least 1: parse_topology rejects a segment whose
+    start lies past its end, and a region is one whole segment.
     """
 
     ntl: int

@@ -277,8 +277,8 @@ def test_criterion_7_end_to_end_synthetic(tmp_path):
     dataset, result = _run_synthetic_pipeline(tmp_path, "run_a")
     assert len(dataset) == 100
 
-    X = dataset.matrix()
-    y = dataset.signs()
+    X = dataset.X
+    y = dataset.y
     means_gap = np.abs(X[y > 0].mean(axis=0) - X[y < 0].mean(axis=0))
     pooled_sd = np.sqrt((X[y > 0].var(axis=0) + X[y < 0].var(axis=0)) / 2)
     shift = means_gap / np.maximum(pooled_sd, 1e-12)

@@ -118,8 +118,18 @@ def test_nb_fit_dataset_pipeline():
     model = nb_fit_dataset(dataset)
     assert model.normalizer is not None
     assert model.train_positive_prior == 0.5
-    preds = nb_predict(model, dataset.matrix())
-    assert preds == [v.label for v in dataset.vectors]
+    preds = nb_predict(model, dataset.X)
+    assert preds == dataset.labels
+
+
+def test_nb_scoring_rejects_a_non_finite_row():
+    model = nb_fit_dataset(toy_dataset(np.random.default_rng(3)))
+    rows = np.full((3, 24), 0.5)
+    rows[1, 4] = np.nan
+    with pytest.raises(ValueError, match="input row 1 is not finite"):
+        log_odds(model, rows)
+    with pytest.raises(ValueError, match="input row 1 is not finite"):
+        nb_predict(model, rows)
 
 
 def test_batch_log_odds_equal_row_by_row_across_block_seams():

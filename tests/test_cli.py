@@ -38,7 +38,7 @@ def test_extract_features_writes_table(corpus, feature_csv, capsys):
     assert header.startswith("id,A,C,D") and header.endswith("ecl3,label")
     assert len(text.splitlines()) == 31  # header + 30 rows
     ds = features.read_feature_csv(feature_csv)
-    assert sum(1 for v in ds.vectors if v.label is Label.HUMAN) == 15
+    assert sum(1 for label in ds.labels if label is Label.HUMAN) == 15
 
 
 def test_extract_features_reports_provenance(corpus, capsys):
@@ -73,7 +73,7 @@ def test_extract_features_honors_label_overrides(corpus, capsys):
     assert rc == 0
     assert "warning: 1 override id(s) matched no sequence" in captured
     ds = features.read_feature_csv(out)
-    by_id = {v.source_id: v.label for v in ds.vectors}
+    by_id = dict(zip(ds.ids, ds.labels))
     assert by_id["SYN0000_HUMAN"] is Label.OTHER
 
 
@@ -157,7 +157,7 @@ def test_train_single_class_exits_4(tmp_path):
     labeled, _ = seqio.assign_labels(made.records)
     ds = features.assemble_dataset(labeled, made.topologies)
     csv_path = tmp_path / "single.csv"
-    features.write_feature_csv(ds.vectors, csv_path)
+    features.write_feature_csv(ds, csv_path)
     rc = main(
         ["train", "--features", str(csv_path), "--model", str(tmp_path / "m.json")]
     )
@@ -245,7 +245,7 @@ def test_evaluate_prints_reference_block(tmp_path, capsys):
     # blob are called human. 36 rows arranged to score tp=14 fp=2 fn=0 tn=20.
     import numpy as np
 
-    from gpcrsvm.features import FeatureVector, write_feature_csv
+    from gpcrsvm.features import Dataset, write_feature_csv
 
     model_path = tmp_path / "ref_model.json"
     model_path.write_text(
@@ -265,13 +265,14 @@ def test_evaluate_prints_reference_block(tmp_path, capsys):
     )
     near = [0.0] * 24
     far = [3.0] * 24
-    vectors = (
-        [FeatureVector(np.array(near), Label.HUMAN, f"tp{i}") for i in range(14)]
-        + [FeatureVector(np.array(near), Label.OTHER, f"fp{i}") for i in range(2)]
-        + [FeatureVector(np.array(far), Label.OTHER, f"tn{i}") for i in range(20)]
+    ids = (
+        [f"tp{i}" for i in range(14)] + [f"fp{i}" for i in range(2)]
+        + [f"tn{i}" for i in range(20)]
     )
+    X = np.array([near] * 16 + [far] * 20)
+    y = np.array([1.0] * 14 + [-1.0] * 22)
     csv_path = tmp_path / "ref.csv"
-    write_feature_csv(vectors, csv_path)
+    write_feature_csv(Dataset(tuple(ids), X, y), csv_path)
     rc = main(["evaluate", "--model", str(model_path), "--features", str(csv_path)])
     captured = " ".join(capsys.readouterr().out.split())
     assert rc == 0
@@ -364,6 +365,35 @@ def test_scoring_rejects_non_finite_cell(
     assert rc == 2
     assert not out.exists() and captured.out == ""
     assert "row 'SYN0004_HUMAN' column 'ntl'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train"],
+        ["predict"],
+        ["evaluate", "--model", "{model}"],
+        ["evaluate", "--holdout", "5"],
+        ["cross-validate"],
+        ["grid-search"],
+    ],
+    ids=["train", "predict", "evaluate-model", "evaluate-holdout",
+         "cross-validate", "grid-search"],
+)
+def test_empty_feature_table_exits_3(feature_csv, tmp_path, capsys, command):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--features", str(feature_csv), "--model", str(model_path)]) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text(feature_csv.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    argv = [a.format(model=model_path) for a in command]
+    if command[0] in ("train", "predict"):
+        argv += ["--model", str(model_path)]
+    rc = main(argv + ["--features", str(empty)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "no usable sequences" in captured.err
 
 
 def test_cross_validate_defaults_to_ten_folds(feature_csv, capsys):

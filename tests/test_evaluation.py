@@ -31,7 +31,7 @@ from gpcrsvm.evaluation import (
     report_to_json,
     stratified_folds,
 )
-from gpcrsvm.features import Dataset, FeatureVector, apply_normalizer, fit_normalizer
+from gpcrsvm.features import Dataset, apply_normalizer, fit_normalizer
 from gpcrsvm.seqio import Label
 
 H, O = Label.HUMAN, Label.OTHER
@@ -39,15 +39,19 @@ REFERENCE_MATRIX = ConfusionMatrix(tp=14, fp=2, fn=0, tn=20)
 REFERENCE_PRIOR = 90 / 188
 
 
+def labeled_dataset(ids, X, labels):
+    return Dataset(tuple(ids), np.asarray(X, dtype=float),
+                   np.array([label.sign for label in labels], dtype=float))
+
+
 def gaussian_dataset(rng, n_per_class=50, d=4, separation=10.0):
-    vectors = []
+    rows = []
     for i in range(n_per_class):
-        values = np.concatenate([rng.normal(0.0, 1.0, d), np.zeros(24 - d)])
-        vectors.append(FeatureVector(values, H, f"H{i}"))
+        rows.append(np.concatenate([rng.normal(0.0, 1.0, d), np.zeros(24 - d)]))
     for i in range(n_per_class):
-        values = np.concatenate([rng.normal(separation, 1.0, d), np.zeros(24 - d)])
-        vectors.append(FeatureVector(values, O, f"O{i}"))
-    return Dataset(vectors=vectors)
+        rows.append(np.concatenate([rng.normal(separation, 1.0, d), np.zeros(24 - d)]))
+    ids = [f"H{i}" for i in range(n_per_class)] + [f"O{i}" for i in range(n_per_class)]
+    return labeled_dataset(ids, rows, [H] * n_per_class + [O] * n_per_class)
 
 
 # -- confusion ---------------------------------------------------------------
@@ -258,26 +262,25 @@ def test_report_json_round_trip():
 
 
 def balanced_dataset(n_pos, n_neg):
-    vectors = [
-        FeatureVector(np.full(24, float(i)), H, f"H{i}") for i in range(n_pos)
-    ] + [
-        FeatureVector(np.full(24, float(100 + i)), O, f"O{i}") for i in range(n_neg)
+    ids = [f"H{i}" for i in range(n_pos)] + [f"O{i}" for i in range(n_neg)]
+    rows = [np.full(24, float(i)) for i in range(n_pos)] + [
+        np.full(24, float(100 + i)) for i in range(n_neg)
     ]
-    return Dataset(vectors=vectors)
+    return labeled_dataset(ids, np.reshape(rows, (-1, 24)), [H] * n_pos + [O] * n_neg)
 
 
 def test_holdout_reference_sizes():
     ds = balanced_dataset(112, 112)
     train, test = holdout_split(ds, 188, seed=42)
     assert len(train) == 188 and len(test) == 36
-    train_pos = sum(1 for v in train.vectors if v.label is H)
+    train_pos = sum(1 for label in train.labels if label is H)
     assert abs(train_pos - 188 * 112 / 224) <= 1.0
 
 
 def test_holdout_respects_class_proportions():
     ds = balanced_dataset(30, 90)
     train, test = holdout_split(ds, 40, seed=0)
-    train_pos = sum(1 for v in train.vectors if v.label is H)
+    train_pos = sum(1 for label in train.labels if label is H)
     assert abs(train_pos - 40 * 30 / 120) <= 1.0
     assert len(train) == 40 and len(test) == 80
 
@@ -286,7 +289,7 @@ def test_holdout_tiny_balanced():
     ds = balanced_dataset(2, 2)
     train, test = holdout_split(ds, 2, seed=7)
     for part in (train, test):
-        labels = {v.label for v in part.vectors}
+        labels = set(part.labels)
         assert labels == {H, O}
 
 
@@ -308,9 +311,46 @@ def test_holdout_is_deterministic():
     ds = balanced_dataset(20, 20)
     a = holdout_split(ds, 30, seed=5)
     b = holdout_split(ds, 30, seed=5)
-    assert [v.source_id for v in a[0].vectors] == [v.source_id for v in b[0].vectors]
+    assert a[0].ids == b[0].ids
     c = holdout_split(ds, 30, seed=6)
-    assert [v.source_id for v in a[0].vectors] != [v.source_id for v in c[0].vectors]
+    assert a[0].ids != c[0].ids
+
+
+# Interleaved labels; the ids below were recorded from the list-of-rows
+# Dataset that came before the array one, so the RNG draws must not move.
+MIXED_PATTERN = "hohhoohhhoohohhoooohoho"
+
+
+def mixed_dataset():
+    ids = [f"r{i:02d}" for i in range(len(MIXED_PATTERN))]
+    labels = [H if c == "h" else O for c in MIXED_PATTERN]
+    return labeled_dataset(ids, [np.full(24, float(i)) for i in range(len(ids))], labels)
+
+
+def test_folds_and_holdout_draw_the_recorded_ids():
+    ds = mixed_dataset()
+    named = lambda folds: [[ds.ids[i] for i in fold] for fold in folds]
+    assert named(stratified_folds(ds, 4, seed=3)) == [
+        ["r01", "r02", "r04", "r05", "r08", "r11"],
+        ["r00", "r07", "r15", "r20", "r21", "r22"],
+        ["r03", "r09", "r12", "r13", "r14", "r18"],
+        ["r06", "r10", "r16", "r17", "r19"],
+    ]
+    assert named(stratified_folds(ds, 5, seed=42)) == [
+        ["r03", "r06", "r09", "r12", "r13"],
+        ["r05", "r08", "r10", "r14", "r17"],
+        ["r04", "r11", "r16", "r19", "r20"],
+        ["r00", "r01", "r07", "r22"],
+        ["r02", "r15", "r18", "r21"],
+    ]
+    train, test = holdout_split(ds, 15, seed=5)
+    assert train.ids == (
+        "r01", "r02", "r03", "r04", "r05", "r06", "r10", "r11",
+        "r13", "r14", "r17", "r18", "r20", "r21", "r22",
+    )
+    assert test.ids == ("r00", "r07", "r08", "r09", "r12", "r15", "r16", "r19")
+    assert (ds.positive_fraction(), train.positive_fraction(),
+            test.positive_fraction()) == (11 / 23, 7 / 15, 0.5)
 
 
 # -- cross-validation --------------------------------------------------------
@@ -328,7 +368,7 @@ def test_stratified_folds_partition(k, n_pos, n_neg, seed):
     sizes = [len(f) for f in folds]
     assert max(sizes) - min(sizes) <= 2  # one per class at most
     for fold in folds:
-        fold_pos = sum(1 for i in fold if ds.vectors[i].label is H)
+        fold_pos = sum(1 for i in fold if ds.y[i] > 0)
         assert abs(fold_pos - len(fold) * n_pos / len(ds)) <= 1.5
 
 
@@ -388,11 +428,9 @@ def oracle_fitter(gamma, c):
     """Cross-validation fitter backed by the reference QP solver."""
 
     def fit(train_ds):
-        normalizer = fit_normalizer(train_ds.vectors)
-        X = np.stack(
-            [apply_normalizer(normalizer, v.values) for v in train_ds.vectors]
-        )
-        y = train_ds.signs()
+        normalizer = fit_normalizer(train_ds.X)
+        X = np.stack([apply_normalizer(normalizer, x) for x in train_ds.X])
+        y = train_ds.y
         K = qp_oracle.oracle_rbf_gram(X, gamma)
         alpha, _ = qp_oracle.solve_dual(K, y, c)
         bias = qp_oracle.optimal_bias(K, y, alpha, c)

@@ -5,22 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gpcrsvm import features
 from gpcrsvm.features import (
     BAD_SEQUENCE,
-    EMPTY_REGION,
     FEATURE_NAMES,
     NO_TOPOLOGY,
     CompositionError,
-    FeatureVector,
+    Dataset,
     apply_normalizer,
     assemble_dataset,
-    build_vector,
     composition,
+    feature_row,
     fit_normalizer,
-    invert_normalizer,
     read_feature_csv,
-    write_arff,
     write_feature_csv,
 )
 from gpcrsvm.seqio import AMINO_ACIDS, Label, SequenceRecord
@@ -73,50 +69,55 @@ def labeled(seq_id, residues, label=Label.HUMAN):
     return SequenceRecord(seq_id, "", residues, label)
 
 
+# A record's feature vector is its feature_row; assemble_dataset files it
+# under the record's id and label.
+
+
 def test_build_vector_concatenates():
-    vec = build_vector(labeled("A1", "AAG"), RegionLengths(57, 12, 20, 9))
-    assert vec.values.shape == (24,)
-    assert vec.values[AMINO_ACIDS.index("A")] == 2 / 3
-    assert vec.values[AMINO_ACIDS.index("G")] == 1 / 3
-    np.testing.assert_array_equal(vec.values[20:], [57, 12, 20, 9])
-    assert vec.label is Label.HUMAN
-    assert vec.source_id == "A1"
+    row = feature_row(labeled("A1", "AAG"), RegionLengths(57, 12, 20, 9))
+    assert row.shape == (24,)
+    assert row[AMINO_ACIDS.index("A")] == 2 / 3
+    assert row[AMINO_ACIDS.index("G")] == 1 / 3
+    np.testing.assert_array_equal(row[20:], [57, 12, 20, 9])
+    ds = assemble_dataset([labeled("A1", "ACDEF")], [seven_tm_map(seq_id="A1")])
+    assert ds.labels == [Label.HUMAN]
+    assert ds.ids == ("A1",)
 
 
 def test_build_vector_boundary_regions():
-    vec = build_vector(labeled("A1", "AAG"), RegionLengths(1, 1, 1, 1))
-    np.testing.assert_array_equal(vec.values[20:], [1, 1, 1, 1])
+    row = feature_row(labeled("A1", "AAG"), RegionLengths(1, 1, 1, 1))
+    np.testing.assert_array_equal(row[20:], [1, 1, 1, 1])
 
 
 def test_build_vector_propagates_composition_error():
     with pytest.raises(CompositionError):
-        build_vector(labeled("A1", "XX"), RegionLengths(1, 1, 1, 1))
+        feature_row(labeled("A1", "XX"), RegionLengths(1, 1, 1, 1))
 
 
 def test_build_vector_requires_label():
     rec = SequenceRecord("A1", "", "AAG", None)
     with pytest.raises(ValueError, match="unlabeled"):
-        build_vector(rec, RegionLengths(1, 1, 1, 1))
+        assemble_dataset([rec], [seven_tm_map(seq_id="A1")])
 
 
-def vec(values, label=Label.HUMAN, source_id="v"):
-    return FeatureVector(np.asarray(values, dtype=float), label, source_id)
+def rows(*values):
+    return np.array(values, dtype=float)
 
 
 def test_normalizer_midpoint():
-    norm = fit_normalizer([vec([2.0] * 24), vec([4.0] * 24)])
+    norm = fit_normalizer(rows([2.0] * 24, [4.0] * 24))
     out = apply_normalizer(norm, np.full(24, 3.0))
     np.testing.assert_array_equal(out, np.full(24, 0.5))
 
 
 def test_normalizer_constant_feature_and_clamp():
-    norm = fit_normalizer([vec([5.0] * 24), vec([5.0] * 24)])
+    norm = fit_normalizer(rows([5.0] * 24, [5.0] * 24))
     np.testing.assert_array_equal(apply_normalizer(norm, np.full(24, 5.0)), np.zeros(24))
     np.testing.assert_array_equal(apply_normalizer(norm, np.full(24, 9.0)), np.zeros(24))
 
 
 def test_normalizer_endpoints():
-    norm = fit_normalizer([vec([2.0] * 24), vec([4.0] * 24)])
+    norm = fit_normalizer(rows([2.0] * 24, [4.0] * 24))
     np.testing.assert_array_equal(apply_normalizer(norm, np.full(24, 2.0)), np.zeros(24))
     np.testing.assert_array_equal(apply_normalizer(norm, np.full(24, 4.0)), np.ones(24))
     np.testing.assert_array_equal(apply_normalizer(norm, np.full(24, 1.0)), np.zeros(24))
@@ -125,7 +126,7 @@ def test_normalizer_endpoints():
 
 def test_normalizer_empty_error():
     with pytest.raises(ValueError):
-        fit_normalizer([])
+        fit_normalizer(np.empty((0, 24)))
 
 
 @given(
@@ -139,17 +140,17 @@ def test_normalizer_empty_error():
         max_size=20,
     )
 )
-def test_normalizer_round_trip(rows):
-    vectors = [vec(row) for row in [r + [0.0] * 18 for r in rows]]
-    norm = fit_normalizer(vectors)
+def test_normalizer_round_trip(table):
+    X = np.array([r + [0.0] * 18 for r in table])
+    norm = fit_normalizer(X)
     span = norm.maximum - norm.minimum
     nonconst = span > 0
     tolerance = 1e-12 * (1.0 + span + np.abs(norm.minimum))
-    for v in vectors:
-        scaled = apply_normalizer(norm, v.values)
+    for x in X:
+        scaled = apply_normalizer(norm, x)
         assert np.all(scaled >= 0.0) and np.all(scaled <= 1.0)
-        recovered = invert_normalizer(norm, scaled)
-        errors = np.abs(recovered - v.values)
+        recovered = scaled * span + norm.minimum
+        errors = np.abs(recovered - x)
         assert np.all(errors[nonconst] <= tolerance[nonconst])
 
 
@@ -185,16 +186,6 @@ def test_assemble_dataset_flags_bad_sequence():
     assert ds.provenance.excluded == {BAD_SEQUENCE: 1}
 
 
-def test_assemble_dataset_flags_empty_region(monkeypatch):
-    # A tiled topology cannot produce a zero-length region, so fake one.
-    monkeypatch.setattr(
-        features, "extract_region_lengths", lambda tmap: RegionLengths(0, 1, 1, 1)
-    )
-    records = [labeled("A", "ACDEF")]
-    ds = assemble_dataset(records, [seven_tm_map(seq_id="A")])
-    assert ds.provenance.excluded == {EMPTY_REGION: 1}
-
-
 def test_assemble_dataset_rejects_duplicate_ids():
     records = [labeled("A", "ACDEF"), labeled("A", "GHIKL")]
     with pytest.raises(ValueError, match="duplicate"):
@@ -208,28 +199,23 @@ def test_assemble_dataset_accounting_and_order_independence():
     prov = ds.provenance
     assert prov.retained + prov.total_excluded == prov.ingested
     shuffled = assemble_dataset(list(reversed(records)), list(reversed(topologies)))
-    as_set = lambda d: {
-        (v.source_id, tuple(v.values), v.label) for v in d.vectors
-    }
+    as_set = lambda d: set(zip(d.ids, map(tuple, d.X), d.labels))
     assert as_set(ds) == as_set(shuffled)
 
 
 def test_feature_csv_round_trip(tmp_path):
-    vectors = [
-        build_vector(labeled("A_HUMAN", "AAGWY"), RegionLengths(57, 12, 20, 9)),
-        build_vector(
-            labeled("B_BOVIN", "MKTV", Label.OTHER), RegionLengths(3, 1, 4, 1)
-        ),
-    ]
+    X = np.stack([
+        feature_row(labeled("A_HUMAN", "AAGWY"), RegionLengths(57, 12, 20, 9)),
+        feature_row(labeled("B_BOVIN", "MKTV"), RegionLengths(3, 1, 4, 1)),
+    ])
     path = tmp_path / "features.csv"
-    write_feature_csv(vectors, path)
+    write_feature_csv(Dataset(("A_HUMAN", "B_BOVIN"), X, np.array([1.0, -1.0])), path)
     header = path.read_text().splitlines()[0]
     assert header == "id," + ",".join(FEATURE_NAMES) + ",label"
     ds = read_feature_csv(path)
-    assert [v.source_id for v in ds.vectors] == ["A_HUMAN", "B_BOVIN"]
-    assert [v.label for v in ds.vectors] == [Label.HUMAN, Label.OTHER]
-    for original, loaded in zip(vectors, ds.vectors):
-        np.testing.assert_array_equal(original.values, loaded.values)
+    assert ds.ids == ("A_HUMAN", "B_BOVIN")
+    assert ds.labels == [Label.HUMAN, Label.OTHER]
+    np.testing.assert_array_equal(ds.X, X)
 
 
 def test_feature_csv_rejects_bad_header():
@@ -256,12 +242,18 @@ def test_feature_csv_rejects_unknown_label():
         read_feature_csv(io.StringIO(header + row))
 
 
-def test_arff_export():
-    vectors = [build_vector(labeled("A", "AAG"), RegionLengths(5, 6, 7, 8))]
-    buf = io.StringIO()
-    write_arff(vectors, buf)
-    text = buf.getvalue()
-    assert text.startswith("@relation gpcr")
-    assert text.count(" numeric\n") == 24
-    assert "@attribute class {human,other}" in text
-    assert text.rstrip().endswith(",human")
+def test_subset_and_positive_fraction_match_a_hand_count():
+    y = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    X = np.arange(7 * 24, dtype=float).reshape(7, 24)
+    ds = Dataset(tuple(f"s{i}" for i in range(7)), X, y)
+    assert len(ds) == 7
+    assert ds.positive_fraction() == 3 / 7
+    assert ds.labels[:2] == [Label.HUMAN, Label.OTHER]
+    part = ds.subset([4, 1, 0])
+    assert part.ids == ("s4", "s1", "s0")
+    np.testing.assert_array_equal(part.X, X[[4, 1, 0]])
+    assert part.labels == [Label.HUMAN, Label.OTHER, Label.HUMAN]
+    assert part.positive_fraction() == 2 / 3
+    assert len(ds.subset([])) == 0
+    with pytest.raises(ValueError, match="no class prior"):
+        ds.subset([]).positive_fraction()

@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 
 from gpcrsvm import modelfile, svm
 from gpcrsvm.errors import DegenerateDataError, ModelFormatError, ModelMismatchError
-from gpcrsvm.features import Dataset, FeatureVector
-from gpcrsvm.seqio import Label
+from gpcrsvm.features import Dataset
 from gpcrsvm.svm import (
     SvmConfig,
     decision_function,
@@ -18,8 +17,8 @@ from gpcrsvm.svm import (
     load_model,
     predict,
     rbf_gram,
-    rbf_kernel,
     save_model,
+    score,
     train,
 )
 
@@ -41,26 +40,32 @@ def random_problem(rng, n=None, d=None):
 # -- kernel ------------------------------------------------------------------
 
 
+def kernel(x, y, gamma):
+    """K(x, y) for one pair of rows, read from rbf_gram."""
+    return float(rbf_gram(x, y, gamma)[0, 0])
+
+
 def test_kernel_of_identical_points_is_one():
     x = np.array([0.3, -1.2, 4.0])
     for gamma in (0.1, 1.0, 10.0):
-        assert rbf_kernel(x, x, gamma) == 1.0
+        assert kernel(x, x, gamma) == 1.0
+        assert (np.diag(rbf_gram(np.stack([x, -x, 2 * x]), None, gamma)) == 1.0).all()
 
 
 def test_kernel_closed_form_value():
     x = np.zeros(4)
     y = np.array([math.sqrt(0.1), 0.0, 0.0, 0.0])  # squared distance 0.1
-    assert rbf_kernel(x, y, 10.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    assert kernel(x, y, 10.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_kernel_flat_limit():
     x, y = np.array([1.0, 2.0]), np.array([-3.0, 5.0])
-    assert rbf_kernel(x, y, 1e-15) == pytest.approx(1.0, abs=1e-9)
+    assert kernel(x, y, 1e-15) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(ValueError):
-        rbf_kernel(np.zeros(3), np.zeros(4), 1.0)
+        rbf_gram(np.zeros(3), np.zeros(4), 1.0)
     with pytest.raises(ValueError):
         rbf_gram(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
 
@@ -72,7 +77,7 @@ def test_kernel_dimension_mismatch():
 )
 def test_kernel_symmetry_is_exact(xs, ys, gamma):
     x, y = np.array(xs), np.array(ys)
-    assert rbf_kernel(x, y, gamma) == rbf_kernel(y, x, gamma)
+    assert kernel(x, y, gamma) == kernel(y, x, gamma)
 
 
 def test_gram_matrices_are_positive_semidefinite():
@@ -221,8 +226,6 @@ def test_config_validation():
         SvmConfig(c=-1.0)
     with pytest.raises(ValueError):
         SvmConfig(kkt_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SvmConfig(max_passes=0)
 
 
 def test_decision_function_dimension_mismatch():
@@ -233,6 +236,16 @@ def test_decision_function_dimension_mismatch():
         decision_function(model, np.zeros(3))
     with pytest.raises(ModelMismatchError):
         predict(model, np.zeros((2, 5)))
+
+
+def test_scoring_rejects_a_non_finite_row():
+    model = fit_dataset(toy_dataset(np.random.default_rng(3)), SvmConfig(gamma=1.0))
+    rows = np.full((3, 24), 0.5)
+    rows[2, 7] = np.inf
+    with pytest.raises(ValueError, match="input row 2 is not finite"):
+        score(model, rows)
+    with pytest.raises(ValueError, match="input row 0 is not finite"):
+        predict(model, np.full(24, np.nan))
 
 
 def test_row_cache_path_matches_dense_gram(monkeypatch):
@@ -284,9 +297,6 @@ SELECTION_PINS = [
     pytest.param(lambda: overlapping_problem(104, 150, 3, 0.25),
                  dict(gamma=2.0, c=100.0), 100,
                  1306, 1307, True, 456.67695797395885, id="row-cache-large-c"),
-    pytest.param(lambda: overlapping_problem(105, 100, 3, 0.3),
-                 dict(gamma=2.0, c=100.0, max_passes=1), None,
-                 1, 2, False, 1.0000000001071039, id="stall-exit"),
 ]
 
 
@@ -339,16 +349,16 @@ def test_batch_scores_equal_row_by_row_across_block_seams():
 
 
 def toy_dataset(rng, n_per_class=10, spread=0.5):
-    vectors = []
+    rows = []
     for i in range(n_per_class):
         values = np.concatenate([rng.normal(0.2, 0.02, size=20), [50, 10, 20, 8]])
-        vectors.append(FeatureVector(values + rng.normal(0, spread * 0.01, 24),
-                                     Label.HUMAN, f"H{i}"))
+        rows.append(values + rng.normal(0, spread * 0.01, 24))
     for i in range(n_per_class):
         values = np.concatenate([rng.normal(0.8, 0.02, size=20), [200, 30, 5, 40]])
-        vectors.append(FeatureVector(values + rng.normal(0, spread * 0.01, 24),
-                                     Label.OTHER, f"O{i}"))
-    return Dataset(vectors=vectors)
+        rows.append(values + rng.normal(0, spread * 0.01, 24))
+    ids = [f"H{i}" for i in range(n_per_class)] + [f"O{i}" for i in range(n_per_class)]
+    y = np.array([1.0] * n_per_class + [-1.0] * n_per_class)
+    return Dataset(tuple(ids), np.stack(rows), y)
 
 
 def test_fit_dataset_normalizes_and_stores_prior():
@@ -357,8 +367,8 @@ def test_fit_dataset_normalizes_and_stores_prior():
     model = fit_dataset(dataset, SvmConfig(gamma=10.0, c=1.0))
     assert model.normalizer is not None
     assert model.train_positive_prior == 0.5
-    labels = predict(model, dataset.matrix())
-    assert labels == [v.label for v in dataset.vectors]
+    labels = predict(model, dataset.X)
+    assert labels == dataset.labels
 
 
 def test_fit_dataset_without_normalization():
@@ -366,8 +376,8 @@ def test_fit_dataset_without_normalization():
     dataset = toy_dataset(rng)
     model = fit_dataset(dataset, SvmConfig(gamma=0.01, c=1.0), normalize="none")
     assert model.normalizer is None
-    labels = predict(model, dataset.matrix())
-    assert labels == [v.label for v in dataset.vectors]
+    labels = predict(model, dataset.X)
+    assert labels == dataset.labels
 
 
 def test_fit_dataset_rejects_unknown_mode():
