@@ -5,22 +5,7 @@ split and k-fold cross-validation."""
 
 import argparse
 
-from gpcrsvm import evaluation, features, seqio, svm, synthetic
-from gpcrsvm.baseline import nb_fit_dataset, nb_predict
-
-
-def svm_fitter(config):
-    def fit(train_ds):
-        model = svm.fit_dataset(train_ds, config)
-        return lambda X: svm.predict(model, X)
-    return fit
-
-
-def nb_fitter():
-    def fit(train_ds):
-        model = nb_fit_dataset(train_ds)
-        return lambda X: nb_predict(model, X)
-    return fit
+from gpcrsvm import baseline, evaluation, features, seqio, svm, synthetic
 
 
 def main():
@@ -46,7 +31,8 @@ def main():
     print(f"assembled {prov.retained}/{prov.ingested} sequences\n")
 
     config = svm.SvmConfig(gamma=args.gamma, c=args.c)
-    fitters = [("SVM (RBF, SMO)", svm_fitter(config)), ("Naive Bayes", nb_fitter())]
+    fitters = [("SVM (RBF, SMO)", svm.fitter(config)),
+               ("Naive Bayes", baseline.nb_fitter())]
 
     print(f"== holdout split {args.train_count}/{len(dataset) - args.train_count} ==")
     for name, fit in fitters:

@@ -1,11 +1,14 @@
-"""Gaussian naive Bayes baseline classifier."""
+"""Gaussian naive Bayes baseline classifier: its own fields and math; the
+fit pipeline and model-file envelope are the SVM's (see `modelfile`)."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import modelfile
 from .errors import DegenerateDataError, ModelFormatError
+from .evaluation import Fitter
 from .features import Dataset, Normalizer, apply_normalizer, check_width, scaled_training_matrix
 from .seqio import Label, labels_from_scores
 
@@ -23,7 +26,6 @@ class NbModel:
     var_pos: np.ndarray
     var_neg: np.ndarray
     normalizer: Normalizer | None = None
-    positive_label: str = Label.HUMAN.value
     train_positive_prior: float | None = None
 
     @property
@@ -31,13 +33,7 @@ class NbModel:
         return self.mean_pos.shape[0]
 
 
-def nb_train(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    normalizer: Normalizer | None = None,
-    train_positive_prior: float | None = None,
-) -> NbModel:
+def nb_train(X: np.ndarray, y: np.ndarray) -> NbModel:
     """Class priors from frequencies; per-class, per-feature mean and
     population variance, floored to avoid singular densities."""
     X = np.asarray(X, dtype=float)
@@ -55,8 +51,6 @@ def nb_train(
         mean_neg=X[~pos].mean(axis=0),
         var_pos=np.maximum(X[pos].var(axis=0), VARIANCE_FLOOR),
         var_neg=np.maximum(X[~pos].var(axis=0), VARIANCE_FLOOR),
-        normalizer=normalizer,
-        train_positive_prior=train_positive_prior,
     )
 
 
@@ -91,20 +85,24 @@ def nb_predict(model: NbModel, x: np.ndarray) -> Label | list[Label]:
 
 def nb_fit_dataset(dataset: Dataset, normalize: str = "minmax") -> NbModel:
     """Pipeline fit mirroring the SVM path: normalizer fitted on the
-    training rows, then the Gaussian model."""
+    training rows, the Gaussian model, then the normalizer and the training
+    set's human fraction attached to it."""
     X, normalizer = scaled_training_matrix(dataset, normalize)
-    return nb_train(
-        X,
-        dataset.y,
-        normalizer=normalizer,
-        train_positive_prior=dataset.positive_fraction(),
-    )
+    model = nb_train(X, dataset.y)
+    model.normalizer = normalizer
+    model.train_positive_prior = dataset.positive_fraction()
+    return model
+
+
+def nb_fitter(normalize: str = "minmax") -> Fitter:
+    """`nb_fit_dataset` on each training split; the predictor labels raw rows."""
+    return lambda train_ds: partial(nb_predict, nb_fit_dataset(train_ds, normalize))
 
 
 def save_nb_model(model: NbModel, sink) -> None:
     payload = {
         "schema": NB_SCHEMA,
-        "positive_label": model.positive_label,
+        "positive_label": modelfile.POSITIVE_LABEL,
         "priors": [model.prior_pos, model.prior_neg],
         "means": [model.mean_pos.tolist(), model.mean_neg.tolist()],
         "variances": [model.var_pos.tolist(), model.var_neg.tolist()],
@@ -114,8 +112,8 @@ def save_nb_model(model: NbModel, sink) -> None:
     modelfile.write_document(payload, sink)
 
 
-def load_nb_model(source) -> NbModel:
-    doc = modelfile.read_document(source, NB_SCHEMA)
+def load_nb_model(doc: dict) -> NbModel:
+    """The model in a parsed gpcr-nb/1 document (`modelfile.read_document`)."""
     priors = modelfile.finite_vector(modelfile.require(doc, "priors"), "priors")
     if priors.shape[0] != 2 or priors.min() <= 0:
         raise ModelFormatError("field 'priors' must hold two positive numbers")
@@ -125,10 +123,7 @@ def load_nb_model(source) -> NbModel:
     )
     if means.shape != variances.shape or means.shape[0] != 2:
         raise ModelFormatError("'means' and 'variances' must be 2 x d arrays")
-    normalizer = modelfile.normalizer_from_json(doc, means.shape[1])
-    prior = doc.get("train_positive_prior")
-    if prior is not None:
-        prior = modelfile.finite_scalar(prior, "train_positive_prior")
+    normalizer, prior = modelfile.read_common(doc, means.shape[1])
     return NbModel(
         prior_pos=float(priors[0]),
         prior_neg=float(priors[1]),
@@ -137,6 +132,5 @@ def load_nb_model(source) -> NbModel:
         var_pos=variances[0],
         var_neg=variances[1],
         normalizer=normalizer,
-        positive_label=str(modelfile.require(doc, "positive_label")),
         train_positive_prior=prior,
     )

@@ -10,7 +10,7 @@ import io
 import sys
 from pathlib import Path
 
-from . import baseline, evaluation, features, seqio, svm, topology
+from . import baseline, evaluation, features, modelfile, seqio, svm, topology
 from .errors import DegenerateDataError, ModelFormatError, ModelMismatchError
 from .features import Dataset
 
@@ -150,6 +150,19 @@ def _require(args, *flags) -> None:
         )
 
 
+def _extract(args) -> Dataset:
+    """Features from --fasta, --topology and --labels; warns of unmatched overrides."""
+    records = seqio.parse_fasta(_read_text(args.fasta))
+    overrides = None
+    if args.labels is not None:
+        overrides = seqio.parse_label_overrides(_read_text(args.labels))
+    labeled, unmatched = seqio.assign_labels(records, overrides)
+    if unmatched:
+        print(f"warning: {unmatched} override id(s) matched no sequence")
+    maps = topology.parse_topology(_read_text(args.topology))
+    return features.assemble_dataset(labeled, maps)
+
+
 def _dataset_from_args(args) -> Dataset:
     """Load the feature table, or run the extraction pipeline on raw files.
     An empty result is exit 3 for every command that reads a dataset."""
@@ -157,13 +170,7 @@ def _dataset_from_args(args) -> Dataset:
         dataset = features.read_feature_csv(args.features)
     else:
         _require(args, "fasta", "topology")
-        records = seqio.parse_fasta(_read_text(args.fasta))
-        overrides = None
-        if args.labels is not None:
-            overrides = seqio.parse_label_overrides(_read_text(args.labels))
-        labeled, _ = seqio.assign_labels(records, overrides)
-        maps = topology.parse_topology(_read_text(args.topology))
-        dataset = features.assemble_dataset(labeled, maps)
+        dataset = _extract(args)
     if not len(dataset):
         raise _CliError(EXIT_EMPTY, "no usable sequences in the input")
     return dataset
@@ -179,37 +186,27 @@ def _print_provenance(dataset: Dataset) -> None:
         print(f"  excluded {reason}: {prov.excluded[reason]}")
 
 
-def _svm_config(args) -> svm.SvmConfig:
-    return svm.SvmConfig(gamma=args.gamma, c=args.c, kkt_tolerance=args.kkt_tol)
-
-
-def _make_fitter(args) -> evaluation.Fitter:
+def _make_fitter(args, gamma: float, c: float) -> evaluation.Fitter:
+    """The fitter of --baseline's model; gamma and c configure the SVM."""
     if args.baseline == "nb":
-        def fit(train_ds):
-            model = baseline.nb_fit_dataset(train_ds, normalize=args.normalize)
-            return lambda X: baseline.nb_predict(model, X)
-        return fit
-    config = _svm_config(args)
-
-    def fit(train_ds):
-        model = svm.fit_dataset(train_ds, config, normalize=args.normalize)
-        return lambda X: svm.predict(model, X)
-    return fit
+        return baseline.nb_fitter(args.normalize)
+    config = svm.SvmConfig(gamma=gamma, c=c, kkt_tolerance=args.kkt_tol)
+    return svm.fitter(config, args.normalize)
 
 
 def _load_any_model(path: Path):
-    """Dispatch on the schema field: returns (model, score), where score
-    maps an (n, 24) matrix of raw feature rows to n scores (>= 0: human)."""
-    text = _read_text(path)
-    try:
-        model = svm.load_model(io.StringIO(text))
+    """Read the model file once and dispatch on its schema field: returns
+    (model, score), where score maps an (n, 24) matrix of raw feature rows
+    to n scores (>= 0: human)."""
+    doc = modelfile.read_document(
+        io.StringIO(_read_text(path)), svm.SVM_SCHEMA, baseline.NB_SCHEMA
+    )
+    # An if, not a loader table, so a loader wrapped on its module still runs.
+    if doc["schema"] == svm.SVM_SCHEMA:
+        model = svm.load_model(doc)
         return model, lambda X: svm.score(model, X)
-    except ModelFormatError as svm_error:
-        try:
-            model = baseline.load_nb_model(io.StringIO(text))
-        except ModelFormatError:
-            raise svm_error from None
-        return model, lambda X: baseline.log_odds(model, X)
+    model = baseline.load_nb_model(doc)
+    return model, lambda X: baseline.log_odds(model, X)
 
 
 def _emit_report(report: evaluation.EvaluationReport, args) -> None:
@@ -226,15 +223,7 @@ def _emit_report(report: evaluation.EvaluationReport, args) -> None:
 
 def cmd_extract_features(args) -> int:
     _require(args, "fasta", "topology", "out")
-    records = seqio.parse_fasta(_read_text(args.fasta))
-    overrides = None
-    if args.labels is not None:
-        overrides = seqio.parse_label_overrides(_read_text(args.labels))
-    labeled, unmatched = seqio.assign_labels(records, overrides)
-    if unmatched:
-        print(f"warning: {unmatched} override id(s) matched no sequence")
-    maps = topology.parse_topology(_read_text(args.topology))
-    dataset = features.assemble_dataset(labeled, maps)
+    dataset = _extract(args)
     _print_provenance(dataset)
     if not len(dataset):
         print("no usable sequences; feature table not written")
@@ -252,7 +241,8 @@ def cmd_train(args) -> int:
         baseline.save_nb_model(model, args.model)
         predictions = baseline.nb_predict(model, dataset.X)
     else:
-        model = svm.fit_dataset(dataset, _svm_config(args), normalize=args.normalize)
+        config = svm.SvmConfig(gamma=args.gamma, c=args.c, kkt_tolerance=args.kkt_tol)
+        model = svm.fit_dataset(dataset, config, normalize=args.normalize)
         svm.save_model(model, args.model)
         print(f"support vectors: {len(model.dual_coeffs)} of {len(dataset)}")
         predictions = svm.predict(model, dataset.X)
@@ -263,18 +253,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.cv is not None:
-        dataset = _dataset_from_args(args)
-        result = evaluation.cross_validate(
-            dataset, args.cv, _make_fitter(args), args.seed
-        )
-        _emit_report(result.pooled, args)
-        return EXIT_OK
-    if args.holdout is not None:
-        dataset = _dataset_from_args(args)
-        report = evaluation.holdout(
-            dataset, args.holdout, _make_fitter(args), args.seed
-        )
+    if args.cv is not None or args.holdout is not None:
+        dataset, fit = _dataset_from_args(args), _make_fitter(args, args.gamma, args.c)
+        if args.cv is not None:
+            report = evaluation.cross_validate(dataset, args.cv, fit, args.seed).pooled
+        else:
+            report = evaluation.holdout(dataset, args.holdout, fit, args.seed)
         _emit_report(report, args)
         return EXIT_OK
     _require(args, "model")
@@ -320,11 +304,8 @@ def cmd_grid_search(args) -> int:
     ranked = []
     for gamma in args.gammas_parsed:
         for c in args.cs_parsed:
-            local = argparse.Namespace(**vars(args))
-            local.gamma, local.c = gamma, c
-            result = evaluation.cross_validate(
-                dataset, args.cv, _make_fitter(local), args.seed
-            )
+            fit = _make_fitter(args, gamma, c)
+            result = evaluation.cross_validate(dataset, args.cv, fit, args.seed)
             ranked.append((gamma, c, result.pooled.accuracy))
     ranked.sort(key=lambda row: (-row[2], row[1], row[0]))
     print(f"{'gamma':>10} {'c':>10} {'cv_accuracy':>12}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ModelMismatchError
 from .seqio import AMINO_ACIDS, Label, SequenceRecord
-from .topology import RegionLengths, TopologyMap, extract_region_lengths, validate_gpcr_topology
+from .topology import InvalidTopologyError, RegionLengths, TopologyMap, extract_region_lengths
 
 FEATURE_NAMES = tuple(AMINO_ACIDS) + ("ntl", "ecl1", "ecl2", "ecl3")
 N_FEATURES = len(FEATURE_NAMES)  # 24
@@ -177,14 +177,15 @@ def assemble_dataset(
         if tmap is None:
             prov.exclude(NO_TOPOLOGY)
             continue
-        ok, reason = validate_gpcr_topology(tmap)
-        if not ok:
-            prov.exclude(reason)
+        try:
+            regions = extract_region_lengths(tmap)  # validates the map once
+        except InvalidTopologyError as exc:
+            prov.exclude(exc.reason)
             continue
         if rec.label is None:
             raise ValueError(f"record '{rec.id}' is unlabeled")
         try:
-            rows.append(feature_row(rec, extract_region_lengths(tmap)))
+            rows.append(feature_row(rec, regions))
         except CompositionError:
             prov.exclude(BAD_SEQUENCE)
             continue

@@ -1,7 +1,12 @@
 """Validated JSON reading/writing for persisted models.
 
-Model files are plain JSON. Loading rejects unknown schema versions,
-missing fields, and non-finite numbers, reporting the offending field path.
+A model file is a JSON object whose "schema" names the model ("gpcr-svm/1"
+or "gpcr-nb/1"). `read_document` parses it once and names every accepted
+schema when it rejects one; the caller dispatches on `doc["schema"]`.
+`read_common` reads the fields both models carry: "positive_label" (only
+"human": a score >= 0 means human), "normalizer" (null or min/max arrays)
+and "train_positive_prior" (null or the training set's human fraction).
+Loading rejects missing fields and non-finite numbers, naming the field.
 """
 
 import json
@@ -11,6 +16,9 @@ import numpy as np
 
 from .errors import ModelFormatError, ModelMismatchError
 from .features import Normalizer
+from .seqio import Label
+
+POSITIVE_LABEL = Label.HUMAN.value
 
 
 def _reject_constant(token: str):
@@ -30,7 +38,8 @@ def write_document(payload: dict, sink) -> None:
             handle.close()
 
 
-def read_document(source, expected_schema: str) -> dict:
+def read_document(source, *schemas: str) -> dict:
+    """Parse one model file; its schema must be one of schemas."""
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     handle = open(source, "r") if own else source
     try:
@@ -44,10 +53,10 @@ def read_document(source, expected_schema: str) -> dict:
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must contain a JSON object")
     schema = doc.get("schema")
-    if schema != expected_schema:
+    if schema not in schemas:
         raise ModelFormatError(
             f"unsupported schema {schema!r}; this reader handles "
-            f"{expected_schema!r}"
+            f"{', '.join(map(repr, schemas))}"
         )
     return doc
 
@@ -90,15 +99,24 @@ def normalizer_to_json(normalizer: Normalizer | None) -> dict | None:
     return {"min": normalizer.minimum.tolist(), "max": normalizer.maximum.tolist()}
 
 
-def normalizer_from_json(doc: dict, dim: int) -> Normalizer | None:
-    """The model's 'normalizer' field: null, or min/max arrays of length dim."""
+def read_common(doc: dict, dim: int) -> tuple[Normalizer | None, float | None]:
+    """The fields every model file carries: (normalizer, train_positive_prior)
+    for a model of dim features."""
+    label = require(doc, "positive_label")
+    if label != POSITIVE_LABEL:
+        raise ModelFormatError(
+            f"field 'positive_label' must be {POSITIVE_LABEL!r}, got {label!r}"
+        )
+    prior = doc.get("train_positive_prior")
+    if prior is not None:
+        prior = finite_scalar(prior, "train_positive_prior")
     raw = require(doc, "normalizer")
     if raw is None:
-        return None
+        return None, prior
     if not isinstance(raw, dict):
         raise ModelFormatError("field 'normalizer' must be an object or null")
     minimum = finite_vector(require(raw, "min"), "normalizer.min")
     maximum = finite_vector(require(raw, "max"), "normalizer.max")
     if minimum.shape != maximum.shape or minimum.shape[0] != dim:
         raise ModelMismatchError("normalizer arrays do not match model dimension")
-    return Normalizer(minimum=minimum, maximum=maximum)
+    return Normalizer(minimum=minimum, maximum=maximum), prior

@@ -20,21 +20,23 @@ and then an index-order sweep if the preferred choice cannot move. Training
 stops when the gap closes, or unconverged when a full scan moves nothing
 or the update cap is reached.
 
-`fit_dataset` trains on `features.scaled_training_matrix` of a dataset, and
-the model keeps the normalizer.
+`fit_dataset` trains on `features.scaled_training_matrix` of a dataset and
+attaches the normalizer and training prior to the model; `fitter` wraps it
+as an `evaluation.Fitter`. The model file's shared fields are `modelfile`'s.
 Scoring takes whole matrices: `score` scales a batch of raw rows in one call,
 `decision_function` scores it in blocks of SCORE_BLOCK (256) rows so the
 kernel block stays within 256 x n_SV floats, and `predict` labels the scores.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import modelfile
 from .errors import DegenerateDataError, ModelMismatchError
+from .evaluation import Fitter
 from .features import Dataset, Normalizer, apply_normalizer, check_width, scaled_training_matrix
 from .seqio import Label, labels_from_scores
 
@@ -115,7 +117,6 @@ class SvmModel:
     bias: float
     config: SvmConfig
     normalizer: Normalizer | None = None
-    positive_label: str = Label.HUMAN.value
     train_positive_prior: float | None = None
     diagnostics: TrainingDiagnostics | None = field(default=None, repr=False)
 
@@ -375,13 +376,7 @@ class _SmoSolver:
 
 
 def train(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: SvmConfig | None = None,
-    *,
-    normalizer: Normalizer | None = None,
-    train_positive_prior: float | None = None,
-    debug: bool = False,
+    X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None, *, debug: bool = False
 ) -> SvmModel:
     """Train on normalized vectors X with labels y in {-1, +1}.
 
@@ -438,8 +433,6 @@ def train(
         dual_coeffs=beta[keep].copy(),
         bias=bias,
         config=config,
-        normalizer=normalizer,
-        train_positive_prior=train_positive_prior,
         diagnostics=diagnostics,
     )
 
@@ -474,22 +467,21 @@ def predict(model: SvmModel, x: np.ndarray) -> Label | list[Label]:
 
 
 def fit_dataset(
-    dataset: Dataset,
-    config: SvmConfig | None = None,
-    normalize: str = "minmax",
-    debug: bool = False,
+    dataset: Dataset, config: SvmConfig | None = None, normalize: str = "minmax"
 ) -> SvmModel:
     """Fit the full pipeline on a labeled dataset: fit the normalizer on
-    the training rows (mode 'minmax' or 'none'), then train."""
+    the training rows (mode 'minmax' or 'none'), train, then attach the
+    normalizer and the training set's human fraction to the model."""
     X, normalizer = scaled_training_matrix(dataset, normalize)
-    return train(
-        X,
-        dataset.y,
-        config,
-        normalizer=normalizer,
-        train_positive_prior=dataset.positive_fraction(),
-        debug=debug,
-    )
+    model = train(X, dataset.y, config)
+    model.normalizer = normalizer
+    model.train_positive_prior = dataset.positive_fraction()
+    return model
+
+
+def fitter(config: SvmConfig | None = None, normalize: str = "minmax") -> Fitter:
+    """`fit_dataset` on each training split; the predictor labels raw rows."""
+    return lambda train_ds: partial(predict, fit_dataset(train_ds, config, normalize))
 
 
 def save_model(model: SvmModel, sink) -> None:
@@ -499,7 +491,7 @@ def save_model(model: SvmModel, sink) -> None:
         "gamma": model.config.gamma,
         "c": model.config.c,
         "bias": model.bias,
-        "positive_label": model.positive_label,
+        "positive_label": modelfile.POSITIVE_LABEL,
         "normalizer": modelfile.normalizer_to_json(model.normalizer),
         "support_vectors": model.support_vectors.tolist(),
         "dual_coeffs": model.dual_coeffs.tolist(),
@@ -508,12 +500,11 @@ def save_model(model: SvmModel, sink) -> None:
     modelfile.write_document(payload, sink)
 
 
-def load_model(source) -> SvmModel:
-    doc = modelfile.read_document(source, SVM_SCHEMA)
+def load_model(doc: dict) -> SvmModel:
+    """The model in a parsed gpcr-svm/1 document (`modelfile.read_document`)."""
     gamma = modelfile.finite_scalar(modelfile.require(doc, "gamma"), "gamma")
     c = modelfile.finite_scalar(modelfile.require(doc, "c"), "c")
     bias = modelfile.finite_scalar(modelfile.require(doc, "bias"), "bias")
-    positive = modelfile.require(doc, "positive_label")
     svs = modelfile.finite_matrix(
         modelfile.require(doc, "support_vectors"), "support_vectors"
     )
@@ -525,16 +516,12 @@ def load_model(source) -> SvmModel:
             f"{coeffs.shape[0]} dual coefficients for {svs.shape[0]} "
             "support vectors"
         )
-    normalizer = modelfile.normalizer_from_json(doc, svs.shape[1])
-    prior = doc.get("train_positive_prior")
-    if prior is not None:
-        prior = modelfile.finite_scalar(prior, "train_positive_prior")
+    normalizer, prior = modelfile.read_common(doc, svs.shape[1])
     return SvmModel(
         support_vectors=svs,
         dual_coeffs=coeffs,
         bias=bias,
         config=SvmConfig(gamma=gamma, c=c),
         normalizer=normalizer,
-        positive_label=str(positive),
         train_positive_prior=prior,
     )

@@ -26,6 +26,17 @@ class TopologyParseError(ValueError):
     """Malformed TMHMM input; message names the sequence id and line."""
 
 
+class InvalidTopologyError(ValueError):
+    """A map that fails validate_gpcr_topology; `reason` is the rule's code."""
+
+    def __init__(self, sequence_id: str, reason: str):
+        super().__init__(
+            f"sequence '{sequence_id}' is not a valid 7TM topology "
+            f"({reason}); cannot extract region lengths"
+        )
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class TopologySegment:
     kind: SegmentKind
@@ -186,13 +197,10 @@ def extract_region_lengths(tmap: TopologyMap) -> RegionLengths:
     loops after helices 2, 4, and 6.
 
     Intracellular segments and the C-terminal tail carry no class signal
-    here and are dropped. Requires validate_gpcr_topology(tmap) to hold.
+    here and are dropped. Raises InvalidTopologyError if validate_gpcr_topology fails.
     """
     ok, reason = validate_gpcr_topology(tmap)
     if not ok:
-        raise ValueError(
-            f"sequence '{tmap.sequence_id}' is not a valid 7TM topology "
-            f"({reason}); cannot extract region lengths"
-        )
+        raise InvalidTopologyError(tmap.sequence_id, reason)
     outside = [len(s) for s in tmap.segments if s.kind is SegmentKind.OUTSIDE]
     return RegionLengths(*outside[:4])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qp_oracle
-from gpcrsvm import evaluation, features, seqio, svm, synthetic, topology
+from gpcrsvm import evaluation, features, modelfile, seqio, svm, synthetic, topology
 from gpcrsvm.evaluation import ConfusionMatrix, error_metrics, report_from_matrix
 from gpcrsvm.seqio import AMINO_ACIDS
 
@@ -323,7 +323,7 @@ def test_criterion_8_persistence_round_trip(tmp_path):
         model = svm.train(X, y, config)
         path = tmp_path / f"model_{index}.json"
         svm.save_model(model, path)
-        loaded = svm.load_model(path)
+        loaded = svm.load_model(modelfile.read_document(path, svm.SVM_SCHEMA))
         probe = rng.normal(size=(100, d))
         gap = np.abs(
             svm.decision_function(model, probe)

@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
+from gpcrsvm import modelfile
 from gpcrsvm.baseline import (
+    NB_SCHEMA,
     VARIANCE_FLOOR,
     load_nb_model,
     log_odds,
@@ -17,6 +19,11 @@ from gpcrsvm.seqio import Label
 from gpcrsvm.svm import SCORE_BLOCK
 
 from test_svm import toy_dataset
+
+
+def read_nb(source):
+    """Parse a gpcr-nb/1 file and load the model in it."""
+    return load_nb_model(modelfile.read_document(source, NB_SCHEMA))
 
 
 def test_nb_train_basic_statistics():
@@ -147,7 +154,7 @@ def test_nb_persistence_round_trip(tmp_path):
     model = nb_fit_dataset(dataset)
     path = tmp_path / "nb.json"
     save_nb_model(model, path)
-    loaded = load_nb_model(path)
+    loaded = read_nb(path)
     probe = rng.normal(0.5, 0.3, size=(50, 24))
     np.testing.assert_allclose(
         log_odds(model, probe), log_odds(loaded, probe), rtol=0, atol=1e-12
@@ -157,7 +164,7 @@ def test_nb_persistence_round_trip(tmp_path):
 
 def test_nb_load_rejects_wrong_schema():
     with pytest.raises(ModelFormatError, match="schema"):
-        load_nb_model(io.StringIO('{"schema": "gpcr-svm/1"}'))
+        read_nb(io.StringIO('{"schema": "gpcr-svm/1"}'))
 
 
 def test_nb_load_rejects_bad_priors():
@@ -167,4 +174,4 @@ def test_nb_load_rejects_bad_priors():
         ' "normalizer": null}'
     )
     with pytest.raises(ModelFormatError, match="priors"):
-        load_nb_model(io.StringIO(text))
+        read_nb(io.StringIO(text))

@@ -292,6 +292,66 @@ def test_evaluate_dimension_mismatch_exits_5(feature_csv, tmp_path):
     assert rc == 5
 
 
+def trained_model_doc(feature_csv, tmp_path, extra):
+    """Train a model on the feature table; return its path and parsed JSON."""
+    path = tmp_path / "model.json"
+    assert main(["train", "--features", str(feature_csv), "--model", str(path),
+                 *extra]) == 0
+    return path, json.loads(path.read_text())
+
+
+def test_nb_model_missing_priors_names_the_field(feature_csv, tmp_path, capsys):
+    path, doc = trained_model_doc(feature_csv, tmp_path, ["--baseline", "nb"])
+    del doc["priors"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(path), "--features", str(feature_csv)])
+    assert rc == 2
+    assert "error: missing field 'priors'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--baseline", "nb"]], ids=["svm", "nb"])
+def test_model_with_other_positive_label_is_rejected(
+    feature_csv, tmp_path, capsys, extra
+):
+    path, doc = trained_model_doc(feature_csv, tmp_path, extra)
+    assert doc["positive_label"] == "human"
+    doc["positive_label"] = "other"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(path), "--features", str(feature_csv)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "field 'positive_label' must be 'human'" in captured.err
+
+
+def test_unknown_schema_names_every_accepted_schema(feature_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": "gpcr-rf/1"}')
+    rc = main(["evaluate", "--model", str(bad), "--features", str(feature_csv)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unsupported schema 'gpcr-rf/1'" in err
+    assert "'gpcr-svm/1'" in err and "'gpcr-nb/1'" in err
+
+
+def test_train_from_raw_files_warns_about_unmatched_overrides(corpus, tmp_path, capsys):
+    labels = corpus / "labels.tsv"
+    labels.write_text("GHOST\thuman\n")
+    rc = main(
+        [
+            "train",
+            "--fasta", str(corpus / "corpus.fasta"),
+            "--topology", str(corpus / "corpus.tmhmm"),
+            "--labels", str(labels),
+            "--model", str(tmp_path / "model.json"),
+        ]
+    )
+    assert rc == 0
+    assert "warning: 1 override id(s) matched no sequence" in capsys.readouterr().out
+
+
 def test_predict_lists_each_sequence(feature_csv, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     main(["train", "--features", str(feature_csv), "--model", str(model_path)])

