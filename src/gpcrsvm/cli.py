@@ -151,14 +151,15 @@ def _require(args, *flags) -> None:
 
 
 def _extract(args) -> Dataset:
-    """Features from --fasta, --topology and --labels; warns of unmatched overrides."""
+    """Features from --fasta, --topology and --labels; warns on stderr of
+    override ids that match no sequence."""
     records = seqio.parse_fasta(_read_text(args.fasta))
     overrides = None
     if args.labels is not None:
         overrides = seqio.parse_label_overrides(_read_text(args.labels))
     labeled, unmatched = seqio.assign_labels(records, overrides)
     if unmatched:
-        print(f"warning: {unmatched} override id(s) matched no sequence")
+        print(f"warning: {unmatched} override id(s) matched no sequence", file=sys.stderr)
     maps = topology.parse_topology(_read_text(args.topology))
     return features.assemble_dataset(labeled, maps)
 
@@ -298,6 +299,10 @@ def cmd_cross_validate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
+    if args.baseline is not None:
+        raise _CliError(
+            EXIT_USAGE, "grid-search tunes only the SVM's gamma and C; drop --baseline"
+        )
     if args.cv is None:
         args.cv = 10
     dataset = _dataset_from_args(args)

@@ -1,10 +1,7 @@
 """FASTA ingestion and binary species labeling for protein sequences."""
 
 import enum
-import logging
 from dataclasses import dataclass, replace
-
-logger = logging.getLogger(__name__)
 
 # 20 standard residues plus 'X' for unknown. 'X' is accepted on ingest;
 # downstream feature code decides whether a sequence is usable.
@@ -130,7 +127,7 @@ def assign_labels(
     """Label every record: override map wins, else the '_HUMAN' suffix rule.
 
     Returns the labeled records (same order) and the number of override ids
-    that matched no record (those are logged as a warning, not an error).
+    that matched no record (the caller decides whether to warn).
     """
     overrides = overrides or {}
     labeled = []
@@ -141,10 +138,7 @@ def assign_labels(
             label = Label.HUMAN if species_token(rec.id) == "HUMAN" else Label.OTHER
         labeled.append(replace(rec, label=label))
     known = {rec.id for rec in records}
-    unmatched = sum(1 for key in overrides if key not in known)
-    if unmatched:
-        logger.warning("%d label override id(s) matched no sequence", unmatched)
-    return labeled, unmatched
+    return labeled, sum(1 for key in overrides if key not in known)
 
 
 def parse_label_overrides(text: str) -> dict[str, Label]:

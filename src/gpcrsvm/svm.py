@@ -7,18 +7,17 @@ The trainer solves the dual problem
     s.t. 0 <= alpha_i <= C,   sum_i alpha_i y_i = 0
 
 by repeatedly picking a pair of multipliers that violates the optimality
-conditions and solving the two-variable subproblem analytically. Each round
-computes its selection state once: the optimality gap, every point's KKT
-violation and the bias-free extreme pair. The gap test and every pair tried
-in that round read this state, which stays valid because a pair that cannot
-move changes nothing. Pair selection is deterministic: the first multiplier
-is the worst violator (non-bound multipliers first, full scans as fallback),
-and the stable worst-first order of all violators is sorted only when the
-worst one cannot move. The second maximizes the error difference |E1 - E2|
-with ties broken by lowest index, falling back to the bias-free extreme pair
-and then an index-order sweep if the preferred choice cannot move. Training
-stops when the gap closes, or unconverged when a full scan moves nothing
-or the update cap is reached.
+conditions and solving the two-variable subproblem analytically. Pairs are
+chosen by the second-order working-set selection (WSS2) of Fan, Chen & Lin
+(JMLR 6, 2005), as in LIBSVM: with G_i = y_i - sum_j alpha_j y_j K_ij, the
+first multiplier i maximizes G over the points whose y_i alpha_i can still
+grow, and the second j, among the points whose y_j alpha_j can still shrink
+and G_j < G_i, maximizes the unclipped objective gain
+(G_i - G_j)^2 / (K_ii + K_jj - 2 K_ij). Ties go to the lowest index, so
+training is deterministic. If that pair cannot move, the first-order partner
+(the argmin of G) is tried. Training stops when the gap max G_i - min G_j
+is at most 2 * tol, or unconverged when neither pair moves or the update
+cap is reached.
 
 `fit_dataset` trains on `features.scaled_training_matrix` of a dataset and
 attaches the normalizer and training prior to the model; `fitter` wraps it
@@ -30,7 +29,6 @@ kernel block stays within 256 x n_SV floats, and `predict` labels the scores.
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +46,7 @@ FULL_GRAM_LIMIT = 2000
 
 SCORE_BLOCK = 256  # kernel rows per block when scoring or on the row-cache path
 
-_ETA_EPS = 1e-12  # below this, treat the pair curvature as zero
+_ETA_EPS = 1e-12  # below this, treat the pair curvature as zero (LIBSVM's tau)
 _STEP_EPS = 1e-12  # relative alpha movement that counts as progress
 _OBJ_SLACK = 1e-9  # tolerated per-update objective decrease (debug mode)
 
@@ -103,7 +101,9 @@ class TrainingDiagnostics:
     updates: int
     scans: int
     converged: bool
-    objective: float
+    objective: float  # dual objective D
+    primal: float  # primal objective P of (beta, bias) with hinge slacks
+    duality_gap: float  # P - D >= 0; at most C * sum of KKT violations
     max_kkt_violation: float
     balance: float  # sum(alpha * y) before pruning
     alphas_full: np.ndarray  # all multipliers, zero entries included
@@ -163,17 +163,6 @@ def kkt_violations(
     return viol
 
 
-class _Round(NamedTuple):
-    """Selection state of one round. Every examine in a scan can share it,
-    because a take_step that fails changes nothing."""
-
-    gap: float  # max(lower G) - min(upper G); optimal when <= 2 * tol
-    viol: np.ndarray  # per-point KKT violation in margin units
-    free: np.ndarray  # 0 < alpha < C, up to bound_tol
-    lo_idx: int  # argmax of G over the lower set
-    up_idx: int  # argmin of G over the upper set
-
-
 class _SmoSolver:
     def __init__(self, X, y, config: SvmConfig, debug: bool):
         self.y = y
@@ -199,25 +188,12 @@ class _SmoSolver:
     # Optimality within tolerance <=> max(lower) - min(upper) <= 2 * tol.
 
     def _sets(self):
-        """Masks can_grow, can_shrink, lower and upper for the current alpha."""
+        """Masks lower and upper for the current alpha."""
         can_grow = self.alpha < self.c - self.bound_tol
         can_shrink = self.alpha > self.bound_tol
         lower = (self.pos & can_grow) | (~self.pos & can_shrink)
         upper = (self.pos & can_shrink) | (~self.pos & can_grow)
-        return can_grow, can_shrink, lower, upper
-
-    def _round(self) -> _Round:
-        can_grow, can_shrink, lower, upper = self._sets()
-        g = self.bias - self.errors
-        lo = np.where(lower, g, -np.inf)
-        up = np.where(upper, g, np.inf)
-        lo_idx, up_idx = int(lo.argmax()), int(up.argmin())
-        r = self.y * self.errors
-        viol = np.maximum(np.where(can_grow, -r, 0.0), np.where(can_shrink, r, 0.0))
-        return _Round(
-            float(lo[lo_idx] - up[up_idx]), viol, can_grow & can_shrink,
-            lo_idx, up_idx,
-        )
+        return lower, upper
 
     # -- pair updates ------------------------------------------------------
 
@@ -310,69 +286,35 @@ class _SmoSolver:
             - 0.5 * (d1 * d1 * k11 + 2.0 * d1 * d2 * k12 + d2 * d2 * k22)
         )
 
-    def examine(self, i1: int, state: _Round) -> bool:
-        """Try second choices for i1 until one moves: the |E1 - E2|
-        maximizer, the bias-free extreme pair partner, then everything."""
-        diffs = np.abs(self.errors[i1] - self.errors)
-        diffs[i1] = -1.0
-        lo, up = state.lo_idx, state.up_idx
-        candidates = (int(diffs.argmax()), up if i1 == lo else lo, lo, up)
-        seen = set()
-        for i2 in candidates:
-            if i2 != i1 and i2 not in seen:
-                seen.add(i2)
-                if self.take_step(i1, i2):
-                    return True
-        for i2 in range(self.n):
-            if i2 != i1 and i2 not in seen:
-                if self.take_step(i1, i2):
-                    return True
-        return False
-
-    def scan(self, state: _Round, non_bound_only: bool) -> bool:
-        """One selection pass: examine violators, worst first. Returns True
-        as soon as any pair update succeeds."""
-        self.scans += 1
-        viol = np.where(state.free, state.viol, 0.0) if non_bound_only else state.viol
-        # The worst violator nearly always moves, so the full order (a
-        # stable argsort, ties to the lowest index) is built only when it
-        # cannot.
-        worst = int(viol.argmax())
-        if viol[worst] <= self.tol:
-            return False
-        if self.examine(worst, state):
-            return True
-        for i1 in np.argsort(-viol, kind="stable")[1:]:
-            if viol[i1] <= self.tol:
-                break
-            if self.examine(int(i1), state):
-                return True
-        return False
-
     def current_objective(self) -> float:
         beta = self.alpha * self.y
         u = self.kernel.decision_without_bias(beta)
         return float(np.sum(self.alpha) - 0.5 * beta @ u)
 
     def solve(self) -> bool:
-        """Run rounds to convergence, each a gap test and a scan over one
-        selection state. Returns True when the optimality gap closed, False
-        when a full scan moved nothing or the update cap was reached."""
+        """Run WSS2 rounds until the optimality gap closes (True), or until
+        neither chosen pair can move or the update cap is reached (False)."""
         hard_cap = max(100_000, 200 * self.n)
-        non_bound = False
-        while self.updates < hard_cap:
-            state = self._round()
-            if state.gap <= 2.0 * self.tol:
+        while True:
+            self.scans += 1
+            lower, upper = self._sets()
+            g = self.bias - self.errors
+            lo = np.where(lower, g, -np.inf)
+            up = np.where(upper, g, np.inf)
+            i, j_min = int(lo.argmax()), int(up.argmin())
+            if lo[i] - up[j_min] <= 2.0 * self.tol:
                 return True
-            if self.scan(state, non_bound):
-                non_bound = True
-            elif non_bound:
-                non_bound = False  # escalate to a full scan
-            else:
-                # A full scan tried every violator against every partner and
-                # nothing moved; repeating it cannot help.
+            if self.updates >= hard_cap:
                 return False
-        return self._round().gap <= 2.0 * self.tol
+            # Second-order choice of j: the largest objective gain b^2 / a of
+            # the unclipped step, b = G_i - G_j > 0 and curvature
+            # a = K_ii + K_jj - 2 K_ij = 2 - 2 K_ij (the RBF diagonal is 1).
+            # Points outside upper or with G_j >= G_i get b = 0, so gain 0.
+            b = np.maximum(lo[i] - up, 0.0)
+            a = np.maximum(2.0 - 2.0 * self.kernel.row(i), _ETA_EPS)
+            j = int((b * b / a).argmax())
+            if not (self.take_step(i, j) or (j != j_min and self.take_step(i, j_min))):
+                return False
 
 
 def train(
@@ -412,15 +354,23 @@ def train(
     beta = alpha * y
     u = solver.kernel.decision_without_bias(beta)
     g = y - u
-    lower, upper = solver._sets()[2:]
+    lower, upper = solver._sets()
     bias = 0.5 * (float(np.max(g[lower])) + float(np.min(g[upper])))
 
-    viol = kkt_violations(alpha, y, u + bias, config.c)
+    decision = u + bias
+    viol = kkt_violations(alpha, y, decision, config.c)
+    # Duality-gap certificate from the same u: the primal objective of
+    # w = sum(beta_i phi(x_i)) and this bias, with hinge slacks.
+    half_norm = 0.5 * float(beta @ u)
+    dual = float(np.sum(alpha)) - half_norm
+    primal = half_norm + config.c * float(np.sum(np.maximum(0.0, 1.0 - y * decision)))
     diagnostics = TrainingDiagnostics(
         updates=solver.updates,
         scans=solver.scans,
         converged=converged,
-        objective=float(np.sum(alpha) - 0.5 * beta @ u),
+        objective=dual,
+        primal=primal,
+        duality_gap=primal - dual,
         max_kkt_violation=float(np.max(viol)),
         balance=balance,
         alphas_full=alpha.copy(),

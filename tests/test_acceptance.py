@@ -197,8 +197,12 @@ def test_criterion_5_kkt_invariants(oracle_corpus_results):
         shrink = alphas > bound
         viol[grow] = np.maximum(viol[grow], -r[grow])
         viol[shrink] = np.maximum(viol[shrink], r[shrink])
+        # Weak duality and the per-point bound on P - D; the margin covers
+        # sum(alpha * y) rounding and the pruned near-zero multipliers.
+        slack = abs(model.bias * diag.balance) + 1e-9 * max(1.0, abs(diag.primal))
         ok = (
-            np.all(alphas >= 0.0)
+            -slack <= diag.duality_gap <= config.c * float(np.sum(viol)) + slack
+            and np.all(alphas >= 0.0)
             and np.all(alphas <= config.c)
             and abs(float(np.dot(alphas, y))) <= 1e-8
             and float(np.max(viol)) <= config.kkt_tolerance + 1e-12
@@ -213,8 +217,8 @@ def test_criterion_5_kkt_invariants(oracle_corpus_results):
         failures += 0 if ok else 1
     assert failures == 0
     _pass(
-        f"criterion 5: box bounds, equality constraint, KKT tolerance, and "
-        f"objective monotonicity hold on all {len(results)} trained models"
+        f"criterion 5: box bounds, equality constraint, KKT tolerance, duality "
+        f"gap and objective monotonicity hold on all {len(results)} trained models"
     )
 
 

@@ -69,7 +69,7 @@ def test_extract_features_honors_label_overrides(corpus, capsys):
             "--out", str(out),
         ]
     )
-    captured = capsys.readouterr().out
+    captured = capsys.readouterr().err
     assert rc == 0
     assert "warning: 1 override id(s) matched no sequence" in captured
     ds = features.read_feature_csv(out)
@@ -349,7 +349,26 @@ def test_train_from_raw_files_warns_about_unmatched_overrides(corpus, tmp_path, 
         ]
     )
     assert rc == 0
-    assert "warning: 1 override id(s) matched no sequence" in capsys.readouterr().out
+    assert "warning: 1 override id(s) matched no sequence" in capsys.readouterr().err
+
+
+def test_predict_from_raw_files_keeps_the_override_warning_off_stdout(
+    corpus, tmp_path, capsys
+):
+    labels = corpus / "labels.tsv"
+    labels.write_text("GHOST\thuman\n")
+    raw = ["--fasta", str(corpus / "corpus.fasta"),
+           "--topology", str(corpus / "corpus.tmhmm"), "--labels", str(labels)]
+    model = ["--model", str(tmp_path / "model.json")]
+    assert main(["train", *raw, *model]) == 0
+    capsys.readouterr()
+    rc = main(["predict", *raw, *model])
+    captured = capsys.readouterr()
+    assert rc == 0
+    rows = captured.out.splitlines()
+    assert len(rows) == 30
+    assert all(row.startswith("SYN") and row.count("\t") == 2 for row in rows)
+    assert captured.err == "warning: 1 override id(s) matched no sequence\n"
 
 
 def test_predict_lists_each_sequence(feature_csv, tmp_path, capsys):
@@ -486,6 +505,19 @@ def test_grid_search_tie_prefers_smaller_c_then_gamma(feature_csv, capsys):
     assert rc == 0
     # The corpus is cleanly separable, so every pair ties at 100%.
     assert "best: gamma=1 c=0.5" in captured
+
+
+def test_grid_search_rejects_the_nb_baseline(feature_csv, capsys):
+    rc = main(
+        [
+            "grid-search", "--features", str(feature_csv), "--baseline", "nb",
+            "--gammas", "0.1,1", "--cs", "1,10", "--cv", "5",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "grid-search tunes only the SVM" in captured.err
 
 
 def test_grid_search_rejects_nonpositive_candidates(feature_csv):

@@ -3,7 +3,7 @@
 The files under tests/golden/ pin what extract-features, train, predict,
 evaluate, cross-validate and grid-search print for a 40-sequence synthetic
 corpus with four labels flipped (so the cross-validated reports have errors
-in them).
+in them). The `_tight` files repeat the SVM commands at --kkt-tol 1e-9.
 A change that moves a printed digit must show and explain the difference.
 Regenerate the files only for a change meant to alter output:
 
@@ -47,6 +47,10 @@ def make_outputs(tmp: Path) -> dict[str, str]:
     svm_model = ["--model", "{tmp}/svm.json"]
     nb_model = ["--model", "{tmp}/nb.json"]
     svm_params = ["--gamma", "1", "--c", "10"]
+    # Solved to --kkt-tol 1e-9, a model no longer depends on which pairs the
+    # solver took, so these outputs hold across changes of selection rule.
+    tight_model = ["--model", "{tmp}/svm_tight.json"]
+    tight = [*svm_params, "--kkt-tol", "1e-9"]
     return {
         "extract_features.txt": _run(
             ["extract-features", "--fasta", "{tmp}/corpus.fasta",
@@ -75,6 +79,17 @@ def make_outputs(tmp: Path) -> dict[str, str]:
         "grid_search_svm.txt": _run(
             ["grid-search", *feats, "--gammas", "0.1,1", "--cs", "1,10",
              "--cv", "5"], tmp),
+        "train_svm_tight.txt": _run(["train", *feats, *tight_model, *tight], tmp),
+        "predict_svm_tight.tsv": _run(["predict", *feats, *tight_model], tmp),
+        "evaluate_model_svm_tight.txt": _run(
+            ["evaluate", *feats, *tight_model], tmp),
+        "evaluate_holdout_svm_tight.txt": _run(
+            ["evaluate", *feats, *tight, "--holdout", "28"], tmp),
+        "cross_validate_svm_tight.txt": _run(
+            ["cross-validate", *feats, *tight, "--cv", "5"], tmp),
+        "grid_search_svm_tight.txt": _run(
+            ["grid-search", *feats, "--kkt-tol", "1e-9", "--gammas", "0.1,1",
+             "--cs", "1,10", "--cv", "5"], tmp),
     }
 
 

@@ -283,25 +283,32 @@ def twin_problem():
 
 
 # (problem, config, FULL_GRAM_LIMIT, updates, scans, converged, objective),
-# recorded from the solver before its per-round state was shared. Any
-# change to the pair-selection rule moves these counts.
+# recorded from the WSS2 solver. Any change to the pair-selection rule moves
+# these counts.
 SELECTION_PINS = [
     pytest.param(lambda: overlapping_problem(102, 200, 5, 0.2),
                  dict(gamma=0.5, c=10.0), None,
-                 740, 741, True, 225.65165003896166, id="dense"),
+                 473, 474, True, 225.65168262713766, id="dense"),
     pytest.param(twin_problem, dict(gamma=1.0, c=1.0, kkt_tolerance=1e-6), None,
-                 46, 49, True, 5.09561130020678, id="zero-curvature"),
-    # At this tolerance the worst violator often cannot move, so scans
-    # fall back to the sorted violator order.
+                 33, 34, True, 5.095611300206529, id="zero-curvature"),
+    # The gap cannot close to 2e-15 in floating point: the solver stops
+    # unconverged once neither the WSS2 pair nor the first-order partner
+    # can move.
     pytest.param(lambda: overlapping_problem(200, 80, 3, 0.3),
                  dict(gamma=10.0, c=1.0, kkt_tolerance=1e-15), None,
-                 393, 416, False, 39.52319152330466, id="sorted-fallback"),
+                 308, 309, False, 39.523191523304654, id="tight-unconverged"),
     pytest.param(lambda: overlapping_problem(103, 120, 4, 0.15),
                  dict(gamma=1.0, c=1.0), 50,
-                 240, 265, True, 41.63533688389806, id="row-cache"),
+                 164, 165, True, 41.63533541649065, id="row-cache"),
     pytest.param(lambda: overlapping_problem(104, 150, 3, 0.25),
                  dict(gamma=2.0, c=100.0), 100,
-                 1306, 1307, True, 456.67695797395885, id="row-cache-large-c"),
+                 520, 521, True, 456.6770007313425, id="row-cache-large-c"),
+    # Near rounding level the WSS2 pair can stall while the first-order
+    # partner (the argmin of G) still moves; here that fallback moves
+    # before both stall.
+    pytest.param(lambda: overlapping_problem(10, 40, 3, 0.3),
+                 dict(gamma=0.5, c=100.0, kkt_tolerance=1e-13), None,
+                 1016, 1017, False, 112.69714484449644, id="partner-fallback"),
 ]
 
 
@@ -316,6 +323,60 @@ def test_selection_rule_is_pinned(
     diag = train(*problem(), SvmConfig(**config)).diagnostics
     assert (diag.updates, diag.scans, diag.converged) == (updates, scans, converged)
     assert diag.objective == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+def gap_slack(diag, bias):
+    """Rounding allowance of the duality gap: sum(alpha * y) is zero only
+    to rounding, and P and D are sums of n terms each."""
+    return abs(bias * diag.balance) + 1e-12 * max(1.0, abs(diag.primal))
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("gamma, c", [(0.5, 1.0), (2.0, 10.0), (10.0, 100.0)])
+def test_duality_gap_is_bounded_by_the_kkt_violations(gamma, c, tol):
+    # P - D = sum_i alpha_i (m_i - 1) + C max(0, 1 - m_i) with m_i = y_i f_i,
+    # and each term lies in [0, C * violation_i].
+    problems = [overlapping_problem(seed, 90, 4, 0.2) for seed in (301, 302)]
+    problems += [random_problem(np.random.default_rng(7), n=20, d=3), twin_problem()]
+    for X, y in problems:
+        model = train(X, y, SvmConfig(gamma=gamma, c=c, kkt_tolerance=tol))
+        diag = model.diagnostics
+        beta = diag.alphas_full * y
+        f = rbf_gram(X, None, gamma) @ beta + model.bias
+        viol = svm.kkt_violations(diag.alphas_full, y, f, c)
+        slack = gap_slack(diag, model.bias)
+        assert diag.duality_gap == diag.primal - diag.objective
+        assert -slack <= diag.duality_gap <= c * float(np.sum(viol)) + slack
+
+
+# (case id, dual D, primal P) from the first-order selection rule that
+# preceded WSS2, on the SELECTION_PINS problems. Both solvers' [D, P]
+# intervals contain the one optimum, so they must overlap.
+PRIOR_INTERVALS = {
+    "dense": (225.65165003896166, 225.97326860146524),
+    "zero-curvature": (5.09561130020678, 5.095613775253514),
+    "tight-unconverged": (39.52319152330466, 39.52319152331136),
+    "row-cache": (41.63533688389806, 41.64912576325325),
+    "row-cache-large-c": (456.67695797395885, 459.9887297459034),
+    "partner-fallback": (112.69714484449656, 112.69714484507988),
+}
+
+
+@pytest.mark.parametrize("problem, config, limit, prior", [
+    pytest.param(*pin.values[:3], PRIOR_INTERVALS[pin.id], id=pin.id)
+    for pin in SELECTION_PINS
+])
+def test_duality_interval_overlaps_the_prior_solver(
+    monkeypatch, problem, config, limit, prior
+):
+    if limit is not None:
+        monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", limit)
+    model = train(*problem(), SvmConfig(**config))
+    diag = model.diagnostics
+    slack = gap_slack(diag, model.bias)
+    prior_dual, prior_primal = prior
+    assert diag.objective <= prior_primal + slack
+    assert prior_dual <= diag.primal + slack
 
 
 @pytest.mark.parametrize("limit", [2000, 50], ids=["dense", "row-cache"])
