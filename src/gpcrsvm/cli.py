@@ -93,9 +93,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_cross_validate)
 
+    grid_help = (
+        "rank (gamma, C) candidates by cross-validated accuracy; each fold "
+        "is scaled once, builds one kernel per gamma and solves the Cs in "
+        "ascending order, each starting from the previous C's solution"
+    )
     p = sub.add_parser(
         "grid-search", parents=[io_flags, model_flags, eval_flags],
-        help="rank (gamma, C) candidates by cross-validated accuracy",
+        help=grid_help, description=grid_help,
     )
     p.add_argument("--gammas", default="10", help="comma-separated gamma values")
     p.add_argument("--cs", default="1.0", help="comma-separated C values")
@@ -187,11 +192,12 @@ def _print_provenance(dataset: Dataset) -> None:
         print(f"  excluded {reason}: {prov.excluded[reason]}")
 
 
-def _make_fitter(args, gamma: float, c: float) -> evaluation.Fitter:
-    """The fitter of --baseline's model; gamma and c configure the SVM."""
+def _make_fitter(args) -> evaluation.Fitter:
+    """The fitter of --baseline's model, or of the SVM that --gamma and --c
+    configure."""
     if args.baseline == "nb":
         return baseline.nb_fitter(args.normalize)
-    config = svm.SvmConfig(gamma=gamma, c=c, kkt_tolerance=args.kkt_tol)
+    config = svm.SvmConfig(gamma=args.gamma, c=args.c, kkt_tolerance=args.kkt_tol)
     return svm.fitter(config, args.normalize)
 
 
@@ -255,7 +261,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.cv is not None or args.holdout is not None:
-        dataset, fit = _dataset_from_args(args), _make_fitter(args, args.gamma, args.c)
+        dataset, fit = _dataset_from_args(args), _make_fitter(args)
         if args.cv is not None:
             report = evaluation.cross_validate(dataset, args.cv, fit, args.seed).pooled
         else:
@@ -306,12 +312,14 @@ def cmd_grid_search(args) -> int:
     if args.cv is None:
         args.cv = 10
     dataset = _dataset_from_args(args)
-    ranked = []
-    for gamma in args.gammas_parsed:
-        for c in args.cs_parsed:
-            fit = _make_fitter(args, gamma, c)
-            result = evaluation.cross_validate(dataset, args.cv, fit, args.seed)
-            ranked.append((gamma, c, result.pooled.accuracy))
+    gammas, cs = args.gammas_parsed, args.cs_parsed
+    fit_each = svm.grid_fitter(gammas, cs, args.kkt_tol, args.normalize)
+    results = evaluation.cross_validate_each(dataset, args.cv, fit_each, args.seed)
+    cells = [(gamma, c) for gamma in gammas for c in cs]
+    ranked = [
+        (gamma, c, result.pooled.accuracy)
+        for (gamma, c), result in zip(cells, results, strict=True)
+    ]
     ranked.sort(key=lambda row: (-row[2], row[1], row[0]))
     print(f"{'gamma':>10} {'c':>10} {'cv_accuracy':>12}")
     for gamma, c, acc in ranked:

@@ -27,6 +27,9 @@ SPECIFICITY_UNDEFINED = "SPECIFICITY_UNDEFINED"
 # cross-validation are generic over this pair and score each test matrix once.
 Predictor = Callable[[np.ndarray], Sequence[Label]]
 Fitter = Callable[[Dataset], Predictor]
+# Fits several models on one training split at once (a grid search's
+# cells); cross_validate_each scores them all on the same folds.
+FitEach = Callable[[Dataset], Sequence[Predictor]]
 
 
 @dataclass(frozen=True)
@@ -341,24 +344,42 @@ class CvResult:
     folds: tuple[EvaluationReport, ...]
 
 
-def cross_validate(dataset: Dataset, k: int, fit: Fitter, seed: int) -> CvResult:
-    """Stratified k-fold cross-validation. Each fold fits on the other
-    k-1 folds (normalization included, via the fitter) and predicts the
-    held-out fold in one call; per-instance predictions are pooled into a
-    single confusion matrix. The rae/rrse baseline uses each fold's own training
-    prior."""
+def cross_validate_each(
+    dataset: Dataset, k: int, fit_each: FitEach, seed: int
+) -> list[CvResult]:
+    """Stratified k-fold cross-validation of several models on the same
+    folds, one CvResult per predictor in fit_each's order. Each fold calls
+    fit_each once on the other k-1 folds (normalization included, via the
+    fitter), so models that share work can share it within a fold; every
+    predictor labels the held-out fold in one call. Each model's predictions
+    are pooled into a single confusion matrix, and its rae/rrse baseline
+    uses each fold's own training prior."""
     folds = stratified_folds(dataset, k, seed)
-    all_records: list[PredictionRecord] = []
-    fold_reports: list[EvaluationReport] = []
-    abs_num = abs_den = sq_num = sq_den = 0.0
-    priors: list[float] = []
+    runs = None  # per predictor: (records, training prior) of each fold
     for f, test_idx in enumerate(folds):
         train_idx = [i for g, fold in enumerate(folds) if g != f for i in fold]
         train_ds = dataset.subset(sorted(train_idx))
         test_ds = dataset.subset(test_idx)
-        records = predict_records(fit(train_ds), test_ds)
         prior = train_ds.positive_fraction()
-        priors.append(prior)
+        predictors = fit_each(train_ds)
+        if runs is None:
+            runs = [[] for _ in predictors]
+        for run, predictor in zip(runs, predictors, strict=True):
+            run.append((predict_records(predictor, test_ds), prior))
+    return [_pool(run) for run in runs]
+
+
+def cross_validate(dataset: Dataset, k: int, fit: Fitter, seed: int) -> CvResult:
+    """`cross_validate_each` of a single model."""
+    return cross_validate_each(dataset, k, lambda train_ds: [fit(train_ds)], seed)[0]
+
+
+def _pool(run: list[tuple[tuple[PredictionRecord, ...], float]]) -> CvResult:
+    """One model's CvResult from its (records, training prior) per fold."""
+    all_records: list[PredictionRecord] = []
+    fold_reports: list[EvaluationReport] = []
+    abs_num = abs_den = sq_num = sq_den = 0.0
+    for records, prior in run:
         all_records.extend(records)
         fold_reports.append(evaluate_predictions(records, baseline_prior=prior))
         for rec in records:
@@ -375,7 +396,7 @@ def cross_validate(dataset: Dataset, k: int, fit: Fitter, seed: int) -> CvResult
         pooled,
         rae=100.0 * abs_num / abs_den,
         rrse=100.0 * math.sqrt(sq_num / sq_den),
-        baseline_prior=sum(priors) / len(priors),
+        baseline_prior=sum(prior for _, prior in run) / len(run),
     )
     return CvResult(pooled=pooled, folds=tuple(fold_reports))
 

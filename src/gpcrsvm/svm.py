@@ -21,7 +21,15 @@ cap is reached.
 
 `fit_dataset` trains on `features.scaled_training_matrix` of a dataset and
 attaches the normalizer and training prior to the model; `fitter` wraps it
-as an `evaluation.Fitter`. The model file's shared fields are `modelfile`'s.
+as an `evaluation.Fitter`. `grid_fitter` fits a whole (gamma, C) grid on a
+training split and reuses work across it (alpha seeding, DeCoste & Wagstaff,
+KDD 2000): the split is scaled once, each gamma's kernel is built once, and
+the Cs are solved in ascending order, each from the previous C's alpha. That
+alpha is feasible for a larger C (the box widens and sum(alpha * y) = 0
+still holds), the error cache of a seeded start costs one K @ beta, and the
+stopping rule does not depend on the start. After the solve, the decision
+values u = K beta come from the error cache (u = E + y - b), not from
+another kernel pass. The model file's shared fields are `modelfile`'s.
 Scoring takes whole matrices: `score` scales a batch of raw rows in one call,
 `decision_function` scores it in blocks of SCORE_BLOCK (256) rows so the
 kernel block stays within 256 x n_SV floats, and `predict` labels the scores.
@@ -29,12 +37,13 @@ kernel block stays within 256 x n_SV floats, and `predict` labels the scores.
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import Sequence
 
 import numpy as np
 
 from . import modelfile
 from .errors import DegenerateDataError, ModelMismatchError
-from .evaluation import Fitter
+from .evaluation import FitEach, Fitter, Predictor
 from .features import Dataset, Normalizer, apply_normalizer, check_width, scaled_training_matrix
 from .seqio import Label, labels_from_scores
 
@@ -127,8 +136,10 @@ class SvmModel:
 
 class _KernelCache:
     """Row access to the Gram matrix: dense up to FULL_GRAM_LIMIT points,
-    LRU-cached rows beyond that. `row` holds no reference back to the cache,
-    so reference counting frees each fit's kernel as soon as the fit ends."""
+    LRU-cached rows beyond that, where the squared row norms are computed
+    once so a missed row costs one matrix-vector product. `row` holds no
+    reference back to the cache, so reference counting frees each fit's
+    kernel as soon as the fit ends."""
 
     def __init__(self, X: np.ndarray, gamma: float, full_limit: int):
         self.X = X
@@ -138,14 +149,30 @@ class _KernelCache:
             self.row = self._matrix.__getitem__
         else:
             self._matrix = None
-            self.row = lru_cache(maxsize=4096)(
-                lambda i: rbf_gram(X[i : i + 1], X, gamma)[0]
-            )
+            norms = np.sum(X * X, axis=1)
+
+            def row(i):
+                sq = norms[i] + norms - 2.0 * (X @ X[i])
+                np.maximum(sq, 0.0, out=sq)
+                return np.exp(-gamma * sq)
+
+            self.row = lru_cache(maxsize=4096)(row)
 
     def decision_without_bias(self, beta: np.ndarray) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix @ beta
         return _blocked_expansion(self.X, self.X, self.gamma, beta)
+
+
+@dataclass
+class _WarmStart:
+    """What consecutive fits on one training matrix and gamma share, in
+    ascending C: the kernel, which the first fit builds, and the last fit's
+    multipliers. Those stay feasible when C grows (the box widens and
+    sum(alpha * y) = 0 still holds), so the next fit starts from them."""
+
+    kernel: _KernelCache | None = None
+    alpha: np.ndarray | None = None
 
 
 def kkt_violations(
@@ -164,21 +191,31 @@ def kkt_violations(
 
 
 class _SmoSolver:
-    def __init__(self, X, y, config: SvmConfig, debug: bool):
+    def __init__(self, X, y, config: SvmConfig, debug: bool, warm: _WarmStart):
         self.y = y
         self.pos = y > 0
         self.n = X.shape[0]
         self.c = config.c
         self.tol = config.kkt_tolerance
-        self.kernel = _KernelCache(X, config.gamma, FULL_GRAM_LIMIT)
-        self.alpha = np.zeros(self.n)
+        if warm.kernel is None:
+            warm.kernel = _KernelCache(X, config.gamma, FULL_GRAM_LIMIT)
+        elif warm.kernel.X is not X or warm.kernel.gamma != config.gamma:
+            raise ValueError("a warm start is tied to one training matrix and gamma")
+        self.kernel = warm.kernel
         self.bias = 0.0
         # Error cache: E_i = f(x_i) - y_i with the current alpha and bias.
-        self.errors = self.bias - y.astype(float)
+        if warm.alpha is None:
+            self.alpha = np.zeros(self.n)
+            self.errors = self.bias - y.astype(float)
+        elif warm.alpha.max() > self.c:
+            raise ValueError("a warm start must come from a C no larger than this one")
+        else:
+            self.alpha = warm.alpha.copy()
+            self.errors = self.kernel.decision_without_bias(self.alpha * y) - y
         self._delta = np.empty((2, self.n))  # terms of one error update
         self.bound_tol = 1e-8 * self.c
         self.debug = debug
-        self.history: list[float] = [0.0] if debug else []
+        self.history: list[float] = [self.current_objective()] if debug else []
         self.updates = 0
         self.scans = 0
 
@@ -318,13 +355,21 @@ class _SmoSolver:
 
 
 def train(
-    X: np.ndarray, y: np.ndarray, config: SvmConfig | None = None, *, debug: bool = False
+    X: np.ndarray,
+    y: np.ndarray,
+    config: SvmConfig | None = None,
+    *,
+    debug: bool = False,
+    warm: _WarmStart | None = None,
 ) -> SvmModel:
     """Train on normalized vectors X with labels y in {-1, +1}.
 
     Deterministic for a fixed input order. With debug=True the solver
     asserts that the dual objective never decreases across updates and
-    keeps the per-update objective trace in the diagnostics.
+    keeps the per-update objective trace in the diagnostics, starting from
+    the objective of the initial alpha. `warm` (see `grid_fitter`) carries
+    the kernel and the solution from one fit to the next on the same X and
+    gamma, in ascending C; the fit leaves its own solution there.
     """
     config = config or SvmConfig()
     X = np.asarray(X, dtype=float)
@@ -338,9 +383,11 @@ def train(
     if len(np.unique(y)) < 2:
         raise DegenerateDataError("training data contains a single class")
 
-    solver = _SmoSolver(X, y, config, debug)
+    warm = warm or _WarmStart()
+    solver = _SmoSolver(X, y, config, debug, warm)
     converged = solver.solve()
     alpha = np.clip(solver.alpha, 0.0, config.c)
+    warm.alpha = alpha
 
     # Equality constraint must survive training (checked before pruning).
     balance = float(np.dot(alpha, y))
@@ -350,9 +397,10 @@ def train(
     # Recompute the bias from scratch as the midpoint of the feasible
     # interval; that choice minimizes the worst per-point KKT violation
     # (free support vectors belong to both bounding sets, so their margin
-    # conditions are covered automatically).
+    # conditions are covered automatically). The error cache already holds
+    # u = K beta: E = u + bias - y, so no kernel pass is needed.
     beta = alpha * y
-    u = solver.kernel.decision_without_bias(beta)
+    u = solver.errors + y - solver.bias
     g = y - u
     lower, upper = solver._sets()
     bias = 0.5 * (float(np.max(g[lower])) + float(np.min(g[upper])))
@@ -432,6 +480,50 @@ def fit_dataset(
 def fitter(config: SvmConfig | None = None, normalize: str = "minmax") -> Fitter:
     """`fit_dataset` on each training split; the predictor labels raw rows."""
     return lambda train_ds: partial(predict, fit_dataset(train_ds, config, normalize))
+
+
+def grid_fitter(
+    gammas: Sequence[float], cs: Sequence[float], tol: float, normalize: str = "minmax"
+) -> FitEach:
+    """One predictor per (gamma, C) cell, gamma-major in the given orders,
+    for each training split. A split fits its normalizer and scales its
+    training rows once; each gamma builds one kernel (in its first `train`
+    call) and solves the Cs in ascending order, each fit starting from the
+    previous C's multipliers. The predictors of a split scale the test rows
+    they share once."""
+    ascending = sorted(range(len(cs)), key=cs.__getitem__)
+
+    def fit_each(train_ds: Dataset) -> list[Predictor]:
+        X, normalizer = scaled_training_matrix(train_ds, normalize)
+        scaled = _last_scaled(normalizer, X.shape[1])
+        predictors = []
+        for gamma in gammas:
+            warm = _WarmStart()
+            cells: list[Predictor] = [None] * len(cs)
+            for k in ascending:
+                model = train(X, train_ds.y, SvmConfig(gamma, cs[k], tol), warm=warm)
+                cells[k] = lambda rows, m=model: labels_from_scores(
+                    decision_function(m, scaled(rows))
+                )
+            predictors += cells
+        return predictors
+
+    return fit_each
+
+
+def _last_scaled(normalizer: Normalizer | None, dim: int):
+    """Raw rows -> normalized rows, remembering the last matrix it was
+    given: the predictors of one grid split all label the same test rows,
+    which are then scaled once."""
+    last: list = [None, None]  # the raw matrix, held so its identity stays valid
+
+    def scaled(rows: np.ndarray) -> np.ndarray:
+        if last[0] is not rows:
+            x = check_width(rows, dim)
+            last[:] = rows, x if normalizer is None else apply_normalizer(normalizer, x)
+        return last[1]
+
+    return scaled
 
 
 def save_model(model: SvmModel, sink) -> None:

@@ -507,6 +507,63 @@ def test_grid_search_tie_prefers_smaller_c_then_gamma(feature_csv, capsys):
     assert "best: gamma=1 c=0.5" in captured
 
 
+@pytest.fixture()
+def noisy_feature_csv(corpus):
+    """The corpus's features with two human sequences relabeled 'other'."""
+    labels = corpus / "labels.tsv"
+    labels.write_text("SYN0000_HUMAN\tother\nSYN0008_HUMAN\tother\n")
+    out = corpus / "noisy.csv"
+    rc = main(
+        [
+            "extract-features",
+            "--fasta", str(corpus / "corpus.fasta"),
+            "--topology", str(corpus / "corpus.tmhmm"),
+            "--labels", str(labels),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    return out
+
+
+# Printed by the grid search that fitted every cell from alpha = 0, before
+# fits along ascending C started from the previous C's solution. At
+# --kkt-tol 1e-9 the rows do not depend on where a fit starts.
+COLD_GRID_ROWS = {
+    "10,0.1,1": """\
+     gamma          c  cv_accuracy
+       0.1        0.1     93.3333 %
+       0.1          1     93.3333 %
+         1          1     93.3333 %
+       0.1         10     93.3333 %
+         1         10     90.0000 %
+         1        0.1     73.3333 %
+best: gamma=0.1 c=0.1 accuracy=93.3333 %
+""",
+    "1,1": """\
+     gamma          c  cv_accuracy
+       0.1          1     93.3333 %
+       0.1          1     93.3333 %
+         1          1     93.3333 %
+         1          1     93.3333 %
+best: gamma=0.1 c=1 accuracy=93.3333 %
+""",
+}
+
+
+@pytest.mark.parametrize("cs", sorted(COLD_GRID_ROWS), ids=["duplicate", "unsorted"])
+def test_grid_search_rows_match_cold_fits(noisy_feature_csv, capsys, cs):
+    capsys.readouterr()
+    rc = main(
+        [
+            "grid-search", "--features", str(noisy_feature_csv), "--kkt-tol", "1e-9",
+            "--gammas", "0.1,1", "--cs", cs, "--cv", "5",
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == COLD_GRID_ROWS[cs]
+
+
 def test_grid_search_rejects_the_nb_baseline(feature_csv, capsys):
     rc = main(
         [

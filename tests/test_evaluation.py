@@ -18,6 +18,7 @@ from gpcrsvm.evaluation import (
     basic_metrics,
     confusion,
     cross_validate,
+    cross_validate_each,
     error_metrics,
     evaluate_predictions,
     holdout_split,
@@ -422,6 +423,35 @@ def test_cross_validate_is_reproducible():
     assert report_to_json(a.pooled) == report_to_json(b.pooled)
     assert a.pooled == b.pooled
     assert a.folds == b.folds
+
+
+def test_cross_validate_each_matches_separate_cross_validations():
+    # Overlapping classes, so the two models err on different folds.
+    rng = np.random.default_rng(23)
+    ds = gaussian_dataset(rng, n_per_class=15, d=3, separation=1.5)
+    nb_fit = lambda train_ds: (
+        lambda X, model=nb_fit_dataset(train_ds): nb_predict(model, X)
+    )
+    svm_fit = svm.fitter(svm.SvmConfig(gamma=1.0, c=1.0))
+    (alone,) = cross_validate_each(ds, 5, lambda train_ds: [nb_fit(train_ds)], seed=4)
+    assert alone == cross_validate(ds, 5, nb_fit, seed=4)
+    both = cross_validate_each(
+        ds, 5, lambda train_ds: [nb_fit(train_ds), svm_fit(train_ds)], seed=4
+    )
+    assert both == [cross_validate(ds, 5, fit, seed=4) for fit in (nb_fit, svm_fit)]
+    assert both[0].pooled.matrix != both[1].pooled.matrix
+
+
+def test_cross_validate_each_rejects_a_changing_model_count():
+    ds = balanced_dataset(4, 4)
+    calls = []
+
+    def fit_each(train_ds):
+        calls.append(None)
+        return [lambda X: [H] * len(X)] * len(calls)
+
+    with pytest.raises(ValueError):
+        cross_validate_each(ds, 2, fit_each, seed=0)
 
 
 def oracle_fitter(gamma, c):

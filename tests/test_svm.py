@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gpcrsvm import modelfile, svm
+from gpcrsvm import features, modelfile, seqio, svm, synthetic
 from gpcrsvm.errors import DegenerateDataError, ModelFormatError, ModelMismatchError
 from gpcrsvm.features import Dataset
+from gpcrsvm.seqio import Label
 from gpcrsvm.svm import (
     SvmConfig,
     decision_function,
@@ -23,6 +24,7 @@ from gpcrsvm.svm import (
 )
 
 import qp_oracle
+from test_golden import FLIPPED
 
 FINITE = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -395,6 +397,109 @@ def test_fit_frees_its_kernel_without_the_cycle_collector(monkeypatch, limit):
     try:
         train(X, y, SvmConfig(gamma=1.0, c=1.0), debug=True)
         assert len(caches) == 1 and caches[0]() is None
+    finally:
+        gc.enable()
+
+
+# -- warm start along ascending C -------------------------------------------
+
+
+def golden_problem():
+    """The scaled training matrix of the golden CLI corpus (test_golden.py):
+    40 synthetic sequences with four labels flipped."""
+    made = synthetic.make_corpus(n_sequences=40, seed=11)
+    flips = {}
+    for i in FLIPPED:
+        rec_id = made.records[i].id
+        flips[rec_id] = Label.OTHER if rec_id.endswith("_HUMAN") else Label.HUMAN
+    labeled, _ = seqio.assign_labels(made.records, flips)
+    dataset = features.assemble_dataset(labeled, made.topologies)
+    X, _ = features.scaled_training_matrix(dataset, "minmax")
+    return X, dataset.y
+
+
+WARM_PROBLEMS = [pytest.param(golden_problem, 1.0, None, id="golden")] + [
+    pytest.param(pin.values[0], pin.values[1]["gamma"], pin.values[2], id=pin.id)
+    for pin in SELECTION_PINS
+]
+
+
+@pytest.mark.parametrize("problem, gamma, limit", WARM_PROBLEMS)
+def test_warm_started_intervals_overlap_cold_fits(monkeypatch, problem, gamma, limit):
+    if limit is not None:
+        monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", limit)
+    X, y = problem()
+    warm = svm._WarmStart()
+    for c in (0.1, 1.0, 10.0, 100.0):
+        config = SvmConfig(gamma=gamma, c=c, kkt_tolerance=1e-9)
+        seeded = train(X, y, config, warm=warm)
+        cold = train(X, y, config)
+        a, b = seeded.diagnostics, cold.diagnostics
+        slack = gap_slack(a, seeded.bias) + gap_slack(b, cold.bias)
+        assert a.objective <= b.primal + slack, c
+        assert b.objective <= a.primal + slack, c
+
+
+@pytest.mark.parametrize("limit", [2000, 50], ids=["dense", "row-cache"])
+def test_warm_start_from_the_optimum_makes_no_update(monkeypatch, limit):
+    monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", limit)
+    X, y = overlapping_problem(107, 120, 4, 0.2)
+    config = SvmConfig(gamma=1.0, c=1.0)
+    warm = svm._WarmStart()
+    first = train(X, y, config, warm=warm).diagnostics
+    again = train(X, y, config, warm=warm).diagnostics
+    assert first.updates > 0 and first.converged
+    assert (again.updates, again.scans, again.converged) == (0, 1, True)
+    np.testing.assert_array_equal(again.alphas_full, first.alphas_full)
+
+
+def test_warm_start_traces_the_objective_from_the_seeded_alpha():
+    X, y = overlapping_problem(108, 100, 3, 0.25)
+    warm = svm._WarmStart()
+    train(X, y, SvmConfig(gamma=1.0, c=0.5), warm=warm)
+    seed_alpha = warm.alpha.copy()
+    diag = train(X, y, SvmConfig(gamma=1.0, c=5.0), debug=True, warm=warm).diagnostics
+    beta = seed_alpha * y
+    seeded_objective = np.sum(seed_alpha) - 0.5 * beta @ rbf_gram(X, None, 1.0) @ beta
+    history = diag.objective_history
+    assert history[0] != 0.0
+    assert history[0] == pytest.approx(seeded_objective, rel=1e-12)
+    assert len(history) == diag.updates + 1
+    assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(history, history[1:]))
+    assert diag.updates > 0 and history[-1] > history[0]
+
+
+def test_warm_start_rejects_a_smaller_c_or_another_kernel():
+    X, y = overlapping_problem(109, 40, 3, 0.2)
+    warm = svm._WarmStart()
+    train(X, y, SvmConfig(gamma=1.0, c=10.0), warm=warm)
+    with pytest.raises(ValueError, match="C no larger"):
+        train(X, y, SvmConfig(gamma=1.0, c=0.1), warm=warm)
+    with pytest.raises(ValueError, match="one training matrix and gamma"):
+        train(X, y, SvmConfig(gamma=2.0, c=10.0), warm=warm)
+    with pytest.raises(ValueError, match="one training matrix and gamma"):
+        train(X.copy(), y, SvmConfig(gamma=1.0, c=10.0), warm=warm)
+
+
+@pytest.mark.parametrize("limit", [2000, 10], ids=["dense", "row-cache"])
+def test_grid_split_frees_its_kernels_without_the_cycle_collector(monkeypatch, limit):
+    caches = []
+
+    class RecordedCache(svm._KernelCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(weakref.ref(self))
+
+    monkeypatch.setattr(svm, "_KernelCache", RecordedCache)
+    monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", limit)
+    dataset = toy_dataset(np.random.default_rng(8), spread=20.0)
+    fit_each = svm.grid_fitter([0.5, 2.0], [10.0, 1.0], 1e-3)
+    gc.disable()
+    try:
+        predictors = fit_each(dataset)
+        assert len(predictors) == 4
+        assert len(caches) == 2 and all(ref() is None for ref in caches)
+        assert predictors[1](dataset.X) == dataset.labels
     finally:
         gc.enable()
 
